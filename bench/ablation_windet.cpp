@@ -27,7 +27,8 @@ struct SmallInstance {
 
     SmallInstance(std::uint64_t seed, std::size_t links) {
         util::Rng rng(seed);
-        graph.add_nodes(3);
+        net::GraphBuilder builder;
+        builder.add_nodes(3);
         for (std::size_t b = 0; b < 3; ++b) {
             bids.emplace_back(market::BpId{b}, "BP" + std::to_string(b + 1));
         }
@@ -35,11 +36,12 @@ struct SmallInstance {
             const auto u = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{3}));
             const std::size_t v =
                 (u + 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{2}))) % 3;
-            const net::LinkId l = graph.add_link(net::NodeId{u}, net::NodeId{v},
-                                                 rng.uniform(5.0, 15.0), rng.uniform(1.0, 4.0));
+            const net::LinkId l = builder.add_link(net::NodeId{u}, net::NodeId{v},
+                                                   rng.uniform(5.0, 15.0), rng.uniform(1.0, 4.0));
             bids[static_cast<std::size_t>(rng.uniform_int(std::uint64_t{3}))].offer(
                 l, util::Money::from_dollars(rng.uniform(50.0, 500.0)));
         }
+        graph = std::move(builder).build();
         tm = {{net::NodeId{0u}, net::NodeId{1u}, rng.uniform(2.0, 6.0)},
               {net::NodeId{1u}, net::NodeId{2u}, rng.uniform(2.0, 6.0)}};
     }

@@ -70,8 +70,8 @@ Instance topology_instance(std::size_t bp_count, std::size_t max_cities, std::ui
 /// this is where the solve/verdict memo pays even on one core.
 Instance exact_instance(std::size_t links, std::uint64_t seed) {
     util::Rng rng(seed);
-    net::Graph graph;
-    graph.add_nodes(3);
+    net::GraphBuilder builder;
+    builder.add_nodes(3);
     std::vector<market::BpBid> bids;
     for (std::size_t b = 0; b < 3; ++b) {
         bids.emplace_back(market::BpId{b}, "BP" + std::to_string(b + 1));
@@ -80,8 +80,8 @@ Instance exact_instance(std::size_t links, std::uint64_t seed) {
         const auto u = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{3}));
         const std::size_t v =
             (u + 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{2}))) % 3;
-        const net::LinkId l = graph.add_link(net::NodeId{u}, net::NodeId{v},
-                                             rng.uniform(5.0, 15.0), rng.uniform(1.0, 4.0));
+        const net::LinkId l = builder.add_link(net::NodeId{u}, net::NodeId{v},
+                                               rng.uniform(5.0, 15.0), rng.uniform(1.0, 4.0));
         bids[static_cast<std::size_t>(rng.uniform_int(std::uint64_t{3}))].offer(
             l, util::Money::from_dollars(rng.uniform(50.0, 500.0)));
     }
@@ -90,7 +90,7 @@ Instance exact_instance(std::size_t links, std::uint64_t seed) {
     // The graph must outlive the OfferPool, which holds a reference to
     // it; park it in a function-static deque (stable addresses).
     static std::deque<net::Graph> graphs;
-    graphs.push_back(std::move(graph));
+    graphs.push_back(std::move(builder).build());
     Instance inst{"exact-" + std::to_string(links) + "l", 3,
                   market::OfferPool(bids, {}, graphs.back()), std::move(tm), {}, true};
     return inst;

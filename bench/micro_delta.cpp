@@ -85,7 +85,8 @@ Instance make_instance(std::size_t n, std::size_t demands, std::uint64_t seed) {
     Instance inst;
     inst.nodes = n;
     inst.demand_count = demands;
-    inst.g.add_nodes(n);
+    net::GraphBuilder g;
+    g.add_nodes(n);
     for (std::size_t b = 0; b < 4; ++b) {
         inst.bids.emplace_back(market::BpId{b}, "BP" + std::to_string(b + 1));
     }
@@ -94,19 +95,20 @@ Instance make_instance(std::size_t n, std::size_t demands, std::uint64_t seed) {
         inst.bids[owner].offer(l, util::Money::from_dollars(rng.uniform(50.0, 500.0)));
     };
     for (std::size_t i = 0; i + 1 < n; ++i) {
-        offer(inst.g.add_link(net::NodeId{i}, net::NodeId{i + 1}, rng.uniform(50.0, 400.0),
-                              rng.uniform(100.0, 2000.0)));
+        offer(g.add_link(net::NodeId{i}, net::NodeId{i + 1}, rng.uniform(50.0, 400.0),
+                         rng.uniform(100.0, 2000.0)));
     }
     for (std::size_t e = 0; e < 2 * n; ++e) {
         const auto a = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
         auto b = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
         if (a == b) b = (b + 1) % n;
-        const net::LinkId l = inst.g.add_link(net::NodeId{a}, net::NodeId{b},
-                                              rng.uniform(50.0, 400.0),
-                                              rng.uniform(100.0, 2000.0));
+        const net::LinkId l = g.add_link(net::NodeId{a}, net::NodeId{b},
+                                         rng.uniform(50.0, 400.0),
+                                         rng.uniform(100.0, 2000.0));
         offer(l);
         inst.flippable.push_back(l);
     }
+    inst.g = std::move(g).build();
     rng.shuffle(inst.flippable);
     for (std::size_t d = 0; d < demands; ++d) {
         const auto s = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));

@@ -3,20 +3,19 @@
 //
 //  1. Fast path: sweeps graph size × demand count × routing mode
 //     (serial per-demand SSSP / batched per-source fast path / fast
-//     path + tree cache / fast path + parallel fan-out), times
-//     primary-path resolution for the whole traffic matrix, and
-//     verifies every mode produces bit-identical paths.
+//     path + tree cache), times primary-path resolution for the whole
+//     traffic matrix, and verifies every mode produces bit-identical
+//     paths.
 //
 //  2. Shard scaling: a synthetic continental instance (10^4 routers,
 //     10^5 demands in the full run) through sharded_primary_flow at
 //     shards {1, 2, 4, 8}, verifying the results are bit-identical
 //     for every shard count before reporting any timing.
 //
-// The fastpath headline win is algorithmic, not parallel: a matrix
-// with D demands but S << D distinct sources needs S SSSP runs, not D,
-// and the reusable workspace drops the per-run tree allocation. Those
-// two effects hold on one core. Rows whose point is parallel speedup
-// (fastpath+parallel, multi-shard timings) need
+// The fastpath win is algorithmic, not parallel: a matrix with D
+// demands but S << D distinct sources needs S SSSP runs, not D, and
+// the reusable workspace drops the per-run tree allocation. Both
+// effects hold on one core. The multi-shard timings need
 // std::thread::hardware_concurrency() > 1; on a 1-thread machine they
 // are SKIPPED with a note instead of reporting a dishonest x1 — the
 // bit-identity checks still run (they are schedule-independent by
@@ -62,18 +61,20 @@ Instance make_instance(std::size_t n, std::size_t demands, std::uint64_t seed) {
     Instance inst;
     inst.nodes = n;
     inst.demand_count = demands;
-    inst.g.add_nodes(n);
+    net::GraphBuilder g;
+    g.add_nodes(n);
     for (std::size_t i = 0; i + 1 < n; ++i) {
-        inst.g.add_link(net::NodeId{i}, net::NodeId{i + 1}, rng.uniform(50.0, 400.0),
-                        rng.uniform(100.0, 2000.0));
+        g.add_link(net::NodeId{i}, net::NodeId{i + 1}, rng.uniform(50.0, 400.0),
+                   rng.uniform(100.0, 2000.0));
     }
     for (std::size_t e = 0; e < 2 * n; ++e) {
         const auto a = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
         auto b = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
         if (a == b) b = (b + 1) % n;
-        inst.g.add_link(net::NodeId{a}, net::NodeId{b}, rng.uniform(50.0, 400.0),
-                        rng.uniform(100.0, 2000.0));
+        g.add_link(net::NodeId{a}, net::NodeId{b}, rng.uniform(50.0, 400.0),
+                   rng.uniform(100.0, 2000.0));
     }
+    inst.g = std::move(g).build();
     for (std::size_t d = 0; d < demands; ++d) {
         const auto s = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
         auto t = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
@@ -105,7 +106,6 @@ std::vector<std::vector<net::LinkId>> serial_primary_paths(const net::Subgraph& 
 
 struct Mode {
     const char* name;
-    std::size_t threads;
     bool cache;
 };
 
@@ -116,16 +116,11 @@ struct Row {
     std::size_t demands = 0;
     std::size_t distinct_sources = 0;
     std::string mode;
-    std::size_t threads = 1;
     bool cache = false;
     double ms = 0.0;
     double speedup_vs_serial = 1.0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    /// True when the row's timing was not taken (1 hardware thread
-    /// makes a parallel timing dishonest); `note` says why.
-    bool skipped = false;
-    std::string note;
 };
 
 /// One shard-scaling row: sharded_primary_flow at a fixed shard count.
@@ -164,12 +159,10 @@ int main(int argc, char** argv) {
         }
     }
     const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    const std::size_t par = std::max<std::size_t>(2, hw);
     const Mode modes[] = {
-        {"serial", 1, false},
-        {"fastpath", 1, false},
-        {"fastpath+cache", 1, true},
-        {"fastpath+parallel", par, false},
+        {"serial", false},
+        {"fastpath", false},
+        {"fastpath+cache", true},
     };
     const int reps = smoke ? 1 : 3;
 
@@ -189,24 +182,6 @@ int main(int argc, char** argv) {
         std::vector<std::vector<net::LinkId>> reference;
         double serial_ms = 0.0;
         for (const Mode& mode : modes) {
-            // A parallel timing on a 1-thread machine would report a
-            // meaningless x1: skip the row honestly instead.
-            if (mode.threads > 1 && hw == 1) {
-                Row row;
-                row.instance = inst.label;
-                row.nodes = inst.nodes;
-                row.links = inst.g.link_count();
-                row.demands = inst.demand_count;
-                row.distinct_sources = inst.distinct_sources;
-                row.mode = mode.name;
-                row.threads = mode.threads;
-                row.skipped = true;
-                row.note = "timing skipped: 1 hardware thread";
-                rows.push_back(row);
-                std::cout << inst.label << "  " << mode.name << "  SKIPPED (" << row.note
-                          << ")\n";
-                continue;
-            }
             // One cache per (instance, mode) row, kept warm across
             // reps: the best-of-reps time for the cached row measures
             // the steady state a scenario epoch loop sees, where the
@@ -214,7 +189,6 @@ int main(int argc, char** argv) {
             net::PathCache cache;
             net::SsspBatchOptions bopt;
             bopt.metric = net::SsspMetric::kLength;
-            bopt.threads = mode.threads;
             bopt.cache = mode.cache ? &cache : nullptr;
             const bool is_serial = std::strcmp(mode.name, "serial") == 0;
 
@@ -243,7 +217,6 @@ int main(int argc, char** argv) {
             row.demands = inst.demand_count;
             row.distinct_sources = inst.distinct_sources;
             row.mode = mode.name;
-            row.threads = mode.threads;
             row.cache = mode.cache;
             row.ms = best_ms;
             row.speedup_vs_serial = best_ms > 0.0 ? serial_ms / best_ms : 1.0;
@@ -347,27 +320,24 @@ int main(int argc, char** argv) {
     std::ofstream out(out_path);
     out << "{\n  \"bench\": \"micro_net\",\n"
         << "  \"hardware_threads\": " << hw << ",\n"
-        << "  \"parallel_threads\": " << par << ",\n"
         << "  \"reps\": " << reps << ",\n"
         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
         << "  \"all_modes_identical_to_serial\": " << (all_identical ? "true" : "false") << ",\n"
         << "  \"bit_identical_across_shards\": " << (shards_identical ? "true" : "false") << ",\n"
         << "  \"note\": \"ms is best of reps, resolving one primary path per demand; fastpath "
-           "speedup comes from one SSSP per distinct source (machine-independent), parallel "
-           "and multi-shard rows additionally need hardware_threads > 1 and are skipped with "
-           "a note on a 1-thread machine (identity checks still run)\",\n"
+           "speedup comes from one SSSP per distinct source (machine-independent); multi-shard "
+           "rows additionally need hardware_threads > 1 and are skipped with a note on a "
+           "1-thread machine (identity checks still run)\",\n"
         << "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         out << "    {\"instance\": \"" << r.instance << "\", \"nodes\": " << r.nodes
             << ", \"links\": " << r.links << ", \"demands\": " << r.demands
             << ", \"distinct_sources\": " << r.distinct_sources << ", \"mode\": \"" << r.mode
-            << "\", \"threads\": " << r.threads << ", \"cache\": " << (r.cache ? "true" : "false")
-            << ", \"ms\": " << r.ms << ", \"speedup_vs_serial\": " << r.speedup_vs_serial
+            << "\", \"cache\": " << (r.cache ? "true" : "false") << ", \"ms\": " << r.ms
+            << ", \"speedup_vs_serial\": " << r.speedup_vs_serial
             << ", \"cache_hits\": " << r.cache_hits << ", \"cache_misses\": " << r.cache_misses
-            << ", \"skipped\": " << (r.skipped ? "true" : "false");
-        if (!r.note.empty()) out << ", \"note\": \"" << r.note << "\"";
-        out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+            << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"shard_rows\": [\n";
     for (std::size_t i = 0; i < shard_rows.size(); ++i) {

@@ -46,18 +46,20 @@ struct Market {
     std::vector<market::BpBid> bids;
 
     Market() {
-        nyc = graph.add_node("NewYork");
-        chi = graph.add_node("Chicago");
-        dal = graph.add_node("Dallas");
-        sjc = graph.add_node("SanJose");
+        net::GraphBuilder builder;
+        nyc = builder.add_node("NewYork");
+        chi = builder.add_node("Chicago");
+        dal = builder.add_node("Dallas");
+        sjc = builder.add_node("SanJose");
         bids.emplace_back(market::BpId{std::size_t{0}}, "EastFiber");
-        bids.back().offer(graph.add_link(nyc, chi, 200.0, 1150.0), 5200_usd);
-        bids.back().offer(graph.add_link(chi, dal, 200.0, 1290.0), 5600_usd);
+        bids.back().offer(builder.add_link(nyc, chi, 200.0, 1150.0), 5200_usd);
+        bids.back().offer(builder.add_link(chi, dal, 200.0, 1290.0), 5600_usd);
         bids.emplace_back(market::BpId{std::size_t{1}}, "WestWave");
-        bids.back().offer(graph.add_link(dal, sjc, 200.0, 2300.0), 8100_usd);
-        bids.back().offer(graph.add_link(chi, sjc, 100.0, 2990.0), 9400_usd);
+        bids.back().offer(builder.add_link(dal, sjc, 200.0, 2300.0), 8100_usd);
+        bids.back().offer(builder.add_link(chi, sjc, 100.0, 2990.0), 9400_usd);
         bids.emplace_back(market::BpId{std::size_t{2}}, "MetroMesh");
-        bids.back().offer(graph.add_link(nyc, chi, 100.0, 1190.0), 4900_usd);
+        bids.back().offer(builder.add_link(nyc, chi, 100.0, 1190.0), 4900_usd);
+        graph = std::move(builder).build();
     }
 
     market::OfferPool pool() const { return market::OfferPool(bids, {}, graph); }

@@ -16,11 +16,11 @@ using util::operator""_usd;
 
 int main() {
     // --- 1. The candidate network: 4 POC routers. --------------------
-    net::Graph graph;
-    const auto nyc = graph.add_node("NewYork");
-    const auto chi = graph.add_node("Chicago");
-    const auto dal = graph.add_node("Dallas");
-    const auto sjc = graph.add_node("SanJose");
+    net::GraphBuilder builder;
+    const auto nyc = builder.add_node("NewYork");
+    const auto chi = builder.add_node("Chicago");
+    const auto dal = builder.add_node("Dallas");
+    const auto sjc = builder.add_node("SanJose");
 
     // --- 2. Sealed bids: each BP offers links with minimal prices. ---
     std::vector<market::BpBid> bids;
@@ -30,30 +30,31 @@ int main() {
     };
 
     auto& east = bid(0, "EastFiber");
-    east.offer(graph.add_link(nyc, chi, 200.0, 1150.0), 5200_usd);
-    east.offer(graph.add_link(chi, dal, 200.0, 1290.0), 5600_usd);
+    east.offer(builder.add_link(nyc, chi, 200.0, 1150.0), 5200_usd);
+    east.offer(builder.add_link(chi, dal, 200.0, 1290.0), 5600_usd);
     east.add_discount(market::DiscountTier{2, 0.05});  // bundle both for 5% off
 
     auto& west = bid(1, "WestWave");
-    west.offer(graph.add_link(dal, sjc, 200.0, 2300.0), 8100_usd);
-    west.offer(graph.add_link(chi, sjc, 100.0, 2990.0), 9400_usd);
+    west.offer(builder.add_link(dal, sjc, 200.0, 2300.0), 8100_usd);
+    west.offer(builder.add_link(chi, sjc, 100.0, 2990.0), 9400_usd);
 
     auto& trunk = bid(2, "TransTrunk");
-    trunk.offer(graph.add_link(nyc, sjc, 400.0, 4130.0), 16800_usd);
+    trunk.offer(builder.add_link(nyc, sjc, 400.0, 4130.0), 16800_usd);
 
     auto& metro = bid(3, "MetroMesh");
-    metro.offer(graph.add_link(nyc, chi, 100.0, 1190.0), 4900_usd);
+    metro.offer(builder.add_link(nyc, chi, 100.0, 1190.0), 4900_usd);
 
     auto& south = bid(4, "SouthernLight");
-    south.offer(graph.add_link(nyc, dal, 200.0, 2210.0), 7900_usd);
+    south.offer(builder.add_link(nyc, dal, 200.0, 2210.0), 7900_usd);
 
     auto& plains = bid(5, "PlainsNet");
-    plains.offer(graph.add_link(chi, dal, 100.0, 1310.0), 5100_usd);
+    plains.offer(builder.add_link(chi, dal, 100.0, 1310.0), 5100_usd);
 
     // External ISP fallback: an expensive virtual link NYC<->SJC.
     market::VirtualLinkContract contract;
-    contract.add(graph.add_link(nyc, sjc, 400.0, 4130.0), 39000_usd);
+    contract.add(builder.add_link(nyc, sjc, 400.0, 4130.0), 39000_usd);
 
+    const net::Graph graph = std::move(builder).build();
     const market::OfferPool pool(std::move(bids), contract, graph);
 
     // --- 3. Traffic matrix upper bound (Gbps). -----------------------

@@ -74,11 +74,12 @@ VirtualLinkContract add_virtual_links(topo::PocTopology& topo, const PricingOpti
 
     const auto& cities = topo::world_cities();
     VirtualLinkContract contract;
+    net::GraphBuilder graph(std::move(topo.graph));  // appended links continue its ids
     for (std::size_t i = 0; i < order.size(); ++i) {
         for (std::size_t j = i + 1; j < order.size(); ++j) {
             const double km = topo::haversine_km(cities[topo.router_city[order[i]]].location,
                                                  cities[topo.router_city[order[j]]].location);
-            const net::LinkId lid = topo.graph.add_link(
+            const net::LinkId lid = graph.add_link(
                 net::NodeId{order[i]}, net::NodeId{order[j]}, opt.capacity_gbps, km);
             topo.link_owner.push_back(topo::kVirtualOwner);
             const double usd =
@@ -86,6 +87,7 @@ VirtualLinkContract add_virtual_links(topo::PocTopology& topo, const PricingOpti
             contract.add(lid, util::Money::from_dollars(std::max(usd, 1.0)));
         }
     }
+    topo.graph = std::move(graph).build();
     POC_ENSURES(topo.link_owner.size() == topo.graph.link_count());
     return contract;
 }

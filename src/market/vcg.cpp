@@ -137,9 +137,6 @@ std::optional<AuctionResult> run_auction(const OfferPool& pool, const Oracle& or
     const std::vector<BpBid>& bids = pool.bids();
     result.outcomes.resize(bids.size());
     if (parallel_pivots_engaged(opt, bids.size())) {
-        // The graph's adjacency index builds lazily on first use; warm
-        // it before concurrent readers race to be that first use.
-        pool.graph().warm_adjacency();
         std::vector<std::exception_ptr> errors(bids.size());
         util::ThreadPool threads(opt.threads);
         threads.parallel_for(bids.size(), [&](std::size_t i) {

@@ -20,36 +20,31 @@ constexpr std::size_t kMaxLinks =
 
 }  // namespace
 
-void Graph::reserve(std::size_t nodes, std::size_t links) {
+GraphBuilder::GraphBuilder(Graph base)
+    : node_labels_(std::move(base.node_labels_)), links_(std::move(base.links_)) {}
+
+void GraphBuilder::reserve(std::size_t nodes, std::size_t links) {
     POC_EXPECTS(nodes <= kMaxNodes);
     POC_EXPECTS(links <= kMaxLinks);
     node_labels_.reserve(nodes);
     links_.reserve(links);
-    adj_offsets_.reserve(nodes + 1);
-    adj_links_.reserve(links * 2);
-    soa_a_.reserve(links);
-    soa_b_.reserve(links);
-    soa_capacity_.reserve(links);
-    soa_length_.reserve(links);
 }
 
-NodeId Graph::add_node(std::string label) {
+NodeId GraphBuilder::add_node(std::string label) {
     POC_EXPECTS(node_labels_.size() < kMaxNodes);
     node_labels_.push_back(std::move(label));
-    adjacency_dirty_ = true;
     return NodeId{node_labels_.size() - 1};
 }
 
-NodeId Graph::add_nodes(std::size_t count) {
+NodeId GraphBuilder::add_nodes(std::size_t count) {
     POC_EXPECTS(count > 0);
     POC_EXPECTS(node_labels_.size() + count <= kMaxNodes);
     const NodeId first{node_labels_.size()};
     node_labels_.resize(node_labels_.size() + count);
-    adjacency_dirty_ = true;
     return first;
 }
 
-LinkId Graph::add_link(NodeId a, NodeId b, double capacity_gbps, double length_km) {
+LinkId GraphBuilder::add_link(NodeId a, NodeId b, double capacity_gbps, double length_km) {
     POC_EXPECTS(a.valid() && a.index() < node_count());
     POC_EXPECTS(b.valid() && b.index() < node_count());
     POC_EXPECTS(a != b);
@@ -57,16 +52,34 @@ LinkId Graph::add_link(NodeId a, NodeId b, double capacity_gbps, double length_k
     POC_EXPECTS(length_km >= 0.0);
     POC_EXPECTS(links_.size() < kMaxLinks);
     links_.push_back(Link{a, b, capacity_gbps, length_km});
-    adjacency_dirty_ = true;
     return LinkId{links_.size() - 1};
 }
 
-std::span<const LinkId> Graph::incident(NodeId node) const {
-    POC_EXPECTS(node.index() < node_count());
-    ensure_adjacency_current();
-    const auto lo = adj_offsets_[node.index()];
-    const auto hi = adj_offsets_[node.index() + 1];
-    return {adj_links_.data() + lo, adj_links_.data() + hi};
+Graph::Graph(std::vector<std::string> node_labels, std::vector<Link> links)
+    : node_labels_(std::move(node_labels)), links_(std::move(links)) {
+    // Counting sort of the 2·L incidences by node; scanning links in id
+    // order leaves each node's slice in ascending link id.
+    adj_offsets_.assign(node_count() + 1, 0);
+    for (const Link& l : links_) {
+        ++adj_offsets_[l.a.index() + 1];
+        ++adj_offsets_[l.b.index() + 1];
+    }
+    for (std::size_t i = 1; i < adj_offsets_.size(); ++i) adj_offsets_[i] += adj_offsets_[i - 1];
+    adj_links_.resize(links_.size() * 2);
+    std::vector<std::uint32_t> cursor(adj_offsets_.begin(), adj_offsets_.end() - 1);
+    soa_a_.resize(links_.size());
+    soa_b_.resize(links_.size());
+    soa_capacity_.resize(links_.size());
+    soa_length_.resize(links_.size());
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+        const Link& l = links_[i];
+        adj_links_[cursor[l.a.index()]++] = LinkId{i};
+        adj_links_[cursor[l.b.index()]++] = LinkId{i};
+        soa_a_[i] = l.a.value();
+        soa_b_[i] = l.b.value();
+        soa_capacity_[i] = l.capacity_gbps;
+        soa_length_[i] = l.length_km;
+    }
 }
 
 std::vector<LinkId> Graph::all_links() const {
@@ -74,35 +87,6 @@ std::vector<LinkId> Graph::all_links() const {
     out.reserve(links_.size());
     for (std::size_t i = 0; i < links_.size(); ++i) out.emplace_back(i);
     return out;
-}
-
-void Graph::ensure_adjacency_current() const {
-    if (!adjacency_dirty_) return;
-    adj_offsets_.assign(node_count() + 1, 0);
-    for (const Link& l : links_) {
-        ++adj_offsets_[l.a.index() + 1];
-        ++adj_offsets_[l.b.index() + 1];
-    }
-    for (std::size_t i = 1; i < adj_offsets_.size(); ++i) adj_offsets_[i] += adj_offsets_[i - 1];
-    adj_links_.assign(links_.size() * 2, LinkId{});
-    std::vector<std::uint32_t> cursor(adj_offsets_.begin(), adj_offsets_.end() - 1);
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-        const Link& l = links_[i];
-        adj_links_[cursor[l.a.index()]++] = LinkId{i};
-        adj_links_[cursor[l.b.index()]++] = LinkId{i};
-    }
-    soa_a_.resize(links_.size());
-    soa_b_.resize(links_.size());
-    soa_capacity_.resize(links_.size());
-    soa_length_.resize(links_.size());
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-        const Link& l = links_[i];
-        soa_a_[i] = l.a.value();
-        soa_b_[i] = l.b.value();
-        soa_capacity_[i] = l.capacity_gbps;
-        soa_length_[i] = l.length_km;
-    }
-    adjacency_dirty_ = false;
 }
 
 void TrafficMatrixSoA::assign(const TrafficMatrix& tm) {

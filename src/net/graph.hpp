@@ -1,13 +1,18 @@
 // Graph core for the POC backbone: an undirected multigraph of
-// capacitated links between routers. The auction reasons about *subsets*
-// of links, so every algorithm in poc::net runs against a Subgraph view
-// (graph + active-link mask) rather than a copied graph; toggling a link
-// in or out of consideration is O(1).
+// capacitated links between routers. A GraphBuilder collects nodes and
+// links; build() freezes them into a Graph whose CSR adjacency and SoA
+// link arrays are built once, there, and never change again — so any
+// number of threads may read a Graph concurrently from its first use.
+// The auction reasons about *subsets* of links, so every algorithm in
+// poc::net runs against a Subgraph view (graph + active-link mask)
+// rather than a copied graph; toggling a link in or out of
+// consideration is O(1).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -43,8 +48,8 @@ struct Link {
 /// alongside the CSR adjacency, so data-plane scans (Dijkstra inner
 /// loops, shard-local load accumulation) touch contiguous 4/8-byte
 /// lanes instead of striding through Link records. Values mirror the
-/// AoS `Link` fields exactly; spans are invalidated by the next
-/// add_node/add_link.
+/// AoS `Link` fields exactly; the spans are valid for the graph's
+/// lifetime.
 struct LinkSoa {
     std::span<const NodeId::underlying_type> a;
     std::span<const NodeId::underlying_type> b;
@@ -59,14 +64,80 @@ struct LinkSoa {
     }
 };
 
-/// Immutable-after-build undirected multigraph.
+/// Undirected multigraph, frozen by GraphBuilder::build(). Only const
+/// readers: the link table, the CSR adjacency and the SoA link arrays
+/// are all built before the Graph exists, so concurrent first reads
+/// need no warm-up and no synchronization. Default-constructed, it is
+/// the empty graph.
 class Graph {
 public:
     Graph() = default;
 
-    /// Pre-size the node and link stores (plus the flat index arrays
-    /// warmed later), so building a 10^5-node synthetic topology does
-    /// not rehash/realloc its way up. Safe to call at any time.
+    std::size_t node_count() const noexcept { return node_labels_.size(); }
+    std::size_t link_count() const noexcept { return links_.size(); }
+
+    const Link& link(LinkId id) const {
+        POC_EXPECTS(id.index() < links_.size());
+        return links_[id.index()];
+    }
+
+    const std::string& node_label(NodeId id) const {
+        POC_EXPECTS(id.index() < node_labels_.size());
+        return node_labels_[id.index()];
+    }
+
+    /// Links incident to `node` (both parallel and distinct neighbors),
+    /// in ascending link id.
+    std::span<const LinkId> incident(NodeId node) const {
+        POC_EXPECTS(node.index() < node_count());
+        const auto lo = adj_offsets_[node.index()];
+        const auto hi = adj_offsets_[node.index() + 1];
+        return {adj_links_.data() + lo, adj_links_.data() + hi};
+    }
+
+    /// All link ids, in insertion order.
+    std::vector<LinkId> all_links() const;
+
+    /// The flat SoA link arrays.
+    LinkSoa link_soa() const noexcept {
+        return LinkSoa{soa_a_, soa_b_, soa_capacity_, soa_length_};
+    }
+
+    /// No-op, kept only because the pinned benchmark driver
+    /// (perfbench/src/flow.cpp) still calls it: a frozen Graph has no
+    /// lazy state to warm. Nothing else should call it.
+    void warm_adjacency() const noexcept {}
+
+private:
+    friend class GraphBuilder;
+
+    /// Take the node and link tables and build the CSR adjacency and
+    /// the SoA link arrays from them.
+    Graph(std::vector<std::string> node_labels, std::vector<Link> links);
+
+    std::vector<std::string> node_labels_;
+    std::vector<Link> links_;
+    // CSR adjacency (ascending link id per node) + SoA link arrays.
+    std::vector<std::uint32_t> adj_offsets_;
+    std::vector<LinkId> adj_links_;
+    std::vector<NodeId::underlying_type> soa_a_;
+    std::vector<NodeId::underlying_type> soa_b_;
+    std::vector<double> soa_capacity_;
+    std::vector<double> soa_length_;
+};
+
+/// Collects nodes and links for a Graph. Ids are dense and assigned in
+/// insertion order; build() keeps them.
+class GraphBuilder {
+public:
+    GraphBuilder() = default;
+
+    /// Start from `base`'s nodes and links (same ids), so links added
+    /// afterwards continue its id sequence.
+    explicit GraphBuilder(Graph base);
+
+    /// Pre-size the node and link stores, so building a 10^5-node
+    /// synthetic topology does not realloc its way up.
     void reserve(std::size_t nodes, std::size_t links);
 
     /// Create `count` nodes, returning the id of the first. Node labels
@@ -82,49 +153,13 @@ public:
     std::size_t node_count() const noexcept { return node_labels_.size(); }
     std::size_t link_count() const noexcept { return links_.size(); }
 
-    const Link& link(LinkId id) const {
-        POC_EXPECTS(id.index() < links_.size());
-        return links_[id.index()];
-    }
-
-    const std::string& node_label(NodeId id) const {
-        POC_EXPECTS(id.index() < node_labels_.size());
-        return node_labels_[id.index()];
-    }
-
-    /// Links incident to `node` (both parallel and distinct neighbors).
-    std::span<const LinkId> incident(NodeId node) const;
-
-    /// All link ids, in insertion order.
-    std::vector<LinkId> all_links() const;
-
-    /// The flat SoA link arrays (built lazily with the adjacency).
-    LinkSoa link_soa() const {
-        ensure_adjacency_current();
-        return LinkSoa{soa_a_, soa_b_, soa_capacity_, soa_length_};
-    }
-
-    /// Build the lazy adjacency index (and the SoA link arrays) now.
-    /// They are otherwise built on the first incident()/link_soa()
-    /// call, which is not safe when concurrent readers race to be that
-    /// first call; the parallel auction engine and the shard engine
-    /// warm them before fanning out.
-    void warm_adjacency() const { ensure_adjacency_current(); }
+    /// Freeze into a Graph: the CSR adjacency and the SoA link arrays
+    /// are built here, once (O(nodes + links)).
+    Graph build() && { return Graph(std::move(node_labels_), std::move(links_)); }
 
 private:
-    void ensure_adjacency_current() const;
-
     std::vector<std::string> node_labels_;
     std::vector<Link> links_;
-
-    // CSR adjacency + SoA link arrays, rebuilt lazily after insertion.
-    mutable std::vector<std::uint32_t> adj_offsets_;
-    mutable std::vector<LinkId> adj_links_;
-    mutable std::vector<NodeId::underlying_type> soa_a_;
-    mutable std::vector<NodeId::underlying_type> soa_b_;
-    mutable std::vector<double> soa_capacity_;
-    mutable std::vector<double> soa_length_;
-    mutable bool adjacency_dirty_ = true;
 };
 
 /// A view of a Graph restricted to a subset of its links. Cheap to copy;

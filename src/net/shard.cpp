@@ -74,9 +74,6 @@ void sharded_primary_flow(const Subgraph& sg, const TrafficMatrixSoA& tm,
     POC_OBS_SPAN("net.shard.run");
     const Graph& g = sg.graph();
     POC_EXPECTS(opt.is_virtual == nullptr || opt.is_virtual->size() == g.link_count());
-    // Build the lazy adjacency + SoA index before fanning out; shard
-    // tasks may only read it.
-    g.warm_adjacency();
     const LinkSoa soa = g.link_soa();
     const std::size_t link_count = g.link_count();
 

@@ -1,7 +1,7 @@
 // Single-source shortest paths over a Subgraph with pluggable link
 // weights. Dijkstra is the workhorse (all weights in this project are
 // non-negative); Bellman-Ford exists as an independent oracle for
-// property tests and for min-cost-flow potential initialization.
+// property tests.
 #pragma once
 
 #include <functional>

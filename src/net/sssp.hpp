@@ -5,15 +5,14 @@
 // being resolved — so one SSSP per distinct source answers every
 // demand from that source. These helpers do that grouping, run each
 // source's Dijkstra through a reusable SsspWorkspace (allocation-free
-// in the steady state), optionally share trees through a PathCache,
-// and optionally fan the independent per-source runs across a
-// util::ThreadPool.
+// in the steady state), and optionally share trees through a
+// PathCache. The scale-out path for large matrices is the sharded data
+// plane (net/shard.hpp), not these helpers.
 //
-// Every combination (workspace / cache / parallel) is bit-identical to
-// resolving each demand with its own shortest_path() call: grouping
-// only deduplicates whole SSSP runs, the cache stores complete trees
-// from the same deterministic Dijkstra, and parallel runs write
-// disjoint per-demand outputs computed from per-source state.
+// Both forms (workspace / cache) are bit-identical to resolving each
+// demand with its own shortest_path() call: grouping only deduplicates
+// whole SSSP runs, and the cache stores complete trees from the same
+// deterministic Dijkstra.
 //
 // NOT valid for demand-dependent weights (e.g. greedy_path_routing's
 // congestion metric, which changes as demands are placed); those call
@@ -29,10 +28,6 @@ namespace poc::net {
 
 struct SsspBatchOptions {
     SsspMetric metric = SsspMetric::kLength;
-    /// Total threads to spread per-source SSSPs over (1 = serial; a
-    /// pool of threads-1 workers is spun up per call and the calling
-    /// thread joins it). Results are identical at any setting.
-    std::size_t threads = 1;
     /// Optional tree cache shared across calls/masks/epochs. When set,
     /// trees are looked up by (source, mask fingerprint, metric) and
     /// computed on miss; when null, trees live only in the workspace.

@@ -229,7 +229,7 @@ namespace {
 /// Copy of `g` with per-link capacities scaled by `factor` (entries in
 /// (0, 1]); node/link ids are preserved by insertion order.
 net::Graph scaled_copy(const net::Graph& g, const std::vector<double>& factor) {
-    net::Graph out;
+    net::GraphBuilder out;
     for (std::size_t n = 0; n < g.node_count(); ++n) {
         out.add_node(g.node_label(net::NodeId{n}));
     }
@@ -237,7 +237,7 @@ net::Graph scaled_copy(const net::Graph& g, const std::vector<double>& factor) {
         const net::Link& l = g.link(net::LinkId{i});
         out.add_link(l.a, l.b, l.capacity_gbps * factor[i], l.length_km);
     }
-    return out;
+    return std::move(out).build();
 }
 
 }  // namespace
@@ -275,7 +275,7 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
     }
     flow_opt.routing = opt.flow_routing;
     flow_opt.flow_shards = opt.flow_shards;
-    flow_opt.sssp_threads = opt.flow_threads;
+    flow_opt.flow_threads = opt.flow_threads;
     // One warm-start state across the run's auctions: off-cycle
     // re-auctions whose surviving offer set is within the delta
     // threshold of the previous clearing reuse its memo.

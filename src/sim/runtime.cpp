@@ -558,7 +558,7 @@ struct EpochRuntime::Impl {
                 if (opt.use_path_cache) flow_opt.path_cache = &path_cache;
                 flow_opt.routing = opt.flow_routing;
                 flow_opt.flow_shards = opt.flow_shards;
-                flow_opt.sssp_threads = opt.flow_threads;
+                flow_opt.flow_threads = opt.flow_threads;
                 const core::FlowReport flows =
                     core::simulate_flows(backbone, epoch_tm, is_virtual, flow_opt);
                 pending.offered_gbps = flows.total_offered_gbps;

@@ -98,7 +98,7 @@ std::vector<EpochOutcome> run_scenario(const market::OfferPool& initial_pool,
     }
     flow_opt.routing = opt.flow_routing;
     flow_opt.flow_shards = opt.flow_shards;
-    flow_opt.sssp_threads = opt.flow_threads;
+    flow_opt.flow_threads = opt.flow_threads;
     // Warm-start state across the scenario's per-epoch auctions: small
     // offer-set deltas (withheld links, failures) reuse the previous
     // epoch's memo; demand changes alter the oracle fingerprint and

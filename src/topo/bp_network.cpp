@@ -33,7 +33,8 @@ std::vector<std::size_t> pick_cities(util::Rng& rng, std::size_t count) {
 /// Add a Euclidean MST over the PoPs so the backbone is connected even
 /// when the Waxman draw is sparse (Prim's algorithm; PoP counts are
 /// small, so O(n^2) is fine).
-void add_mst_links(BpNetwork& bp, util::Rng& rng, const std::vector<double>& capacity_choices,
+void add_mst_links(const BpNetwork& bp, net::GraphBuilder& physical, util::Rng& rng,
+                   const std::vector<double>& capacity_choices,
                    std::vector<std::vector<bool>>& linked) {
     const auto& cities = world_cities();
     const std::size_t n = bp.cities.size();
@@ -59,7 +60,7 @@ void add_mst_links(BpNetwork& bp, util::Rng& rng, const std::vector<double>& cap
         if (!linked[best_from[pick]][pick]) {
             const double cap =
                 capacity_choices[rng.uniform_int(std::uint64_t{capacity_choices.size()})];
-            bp.physical.add_link(net::NodeId{best_from[pick]}, net::NodeId{pick}, cap, pick_dist);
+            physical.add_link(net::NodeId{best_from[pick]}, net::NodeId{pick}, cap, pick_dist);
             linked[best_from[pick]][pick] = linked[pick][best_from[pick]] = true;
         }
         for (std::size_t j = 0; j < n; ++j) {
@@ -106,7 +107,8 @@ std::vector<BpNetwork> generate_bp_networks(const BpGeneratorOptions& opt) {
                                      opt.min_cities, opt.max_cities);
 
         bp.cities = pick_cities(rng, size);
-        for (const std::size_t ci : bp.cities) bp.physical.add_node(cities[ci].name);
+        net::GraphBuilder physical;
+        for (const std::size_t ci : bp.cities) physical.add_node(cities[ci].name);
 
         // Max pairwise distance normalizes the Waxman exponent.
         double max_d = 1.0;
@@ -126,12 +128,13 @@ std::vector<BpNetwork> generate_bp_networks(const BpGeneratorOptions& opt) {
                 if (rng.bernoulli(std::min(1.0, p))) {
                     const double cap = opt.capacity_choices_gbps[rng.uniform_int(
                         std::uint64_t{opt.capacity_choices_gbps.size()})];
-                    bp.physical.add_link(net::NodeId{i}, net::NodeId{j}, cap, d);
+                    physical.add_link(net::NodeId{i}, net::NodeId{j}, cap, d);
                     linked[i][j] = linked[j][i] = true;
                 }
             }
         }
-        add_mst_links(bp, rng, opt.capacity_choices_gbps, linked);
+        add_mst_links(bp, physical, rng, opt.capacity_choices_gbps, linked);
+        bp.physical = std::move(physical).build();
         bps.push_back(std::move(bp));
     }
     return bps;

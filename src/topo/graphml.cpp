@@ -248,9 +248,10 @@ BpNetwork bp_from_zoo(const ZooGraph& zoo, const ZooImportOptions& opt) {
     bp.name = zoo.name.empty() ? "ZooImport" : zoo.name;
     bp.cities.assign(used_cities.begin(), used_cities.end());  // sorted
 
+    net::GraphBuilder physical;
     std::map<std::size_t, std::size_t> city_to_node;  // gazetteer -> bp node
     for (const std::size_t ci : bp.cities) {
-        city_to_node[ci] = bp.physical.add_node(cities[ci].name).index();
+        city_to_node[ci] = physical.add_node(cities[ci].name).index();
     }
 
     // Edges: merge parallel duplicates and drop self-loops created by
@@ -267,9 +268,10 @@ BpNetwork bp_from_zoo(const ZooGraph& zoo, const ZooImportOptions& opt) {
         if (ca > cb) std::swap(ca, cb);
         if (!seen.insert({ca, cb}).second) continue;  // duplicate circuit
         const double km = haversine_km(cities[ca].location, cities[cb].location);
-        bp.physical.add_link(net::NodeId{city_to_node[ca]}, net::NodeId{city_to_node[cb]},
-                             opt.capacity_gbps, std::max(km, 1.0));
+        physical.add_link(net::NodeId{city_to_node[ca]}, net::NodeId{city_to_node[cb]},
+                          opt.capacity_gbps, std::max(km, 1.0));
     }
+    bp.physical = std::move(physical).build();
     return bp;
 }
 

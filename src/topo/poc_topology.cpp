@@ -31,10 +31,11 @@ PocTopology build_poc_topology(const std::vector<BpNetwork>& bps, const PocTopol
     const auto presence = bp_presence_by_city(bps, cities.size());
     PocTopology topo;
     topo.bp_count = bps.size();
+    net::GraphBuilder graph;
     std::vector<std::size_t> city_to_router(cities.size(), std::numeric_limits<std::size_t>::max());
     for (std::size_t ci = 0; ci < cities.size(); ++ci) {
         if (presence[ci] >= opt.min_colocated_bps) {
-            city_to_router[ci] = topo.graph.add_node(cities[ci].name).index();
+            city_to_router[ci] = graph.add_node(cities[ci].name).index();
             topo.router_city.push_back(ci);
         }
     }
@@ -78,11 +79,12 @@ PocTopology build_poc_topology(const std::vector<BpNetwork>& bps, const PocTopol
 
                 const net::NodeId ra{city_to_router[bp.cities[pop_nodes[i]]]};
                 const net::NodeId rb{city_to_router[bp.cities[pop_nodes[j]]]};
-                topo.graph.add_link(ra, rb, cap, path_km);
+                graph.add_link(ra, rb, cap, path_km);
                 topo.link_owner.push_back(static_cast<std::uint32_t>(b));
             }
         }
     }
+    topo.graph = std::move(graph).build();
     POC_ENSURES(topo.link_owner.size() == topo.graph.link_count());
     return topo;
 }

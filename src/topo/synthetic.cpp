@@ -61,12 +61,13 @@ SyntheticTopology build_synthetic_topology(const SyntheticTopologyOptions& opt) 
 
     const auto target_links = static_cast<std::size_t>(
         static_cast<double>(opt.nodes) * opt.avg_degree / 2.0);
-    out.graph.reserve(opt.nodes, target_links + 4 * regions * opt.trunks_per_adjacency);
-    out.graph.add_nodes(opt.nodes);
+    net::GraphBuilder graph;
+    graph.reserve(opt.nodes, target_links + 4 * regions * opt.trunks_per_adjacency);
+    graph.add_nodes(opt.nodes);
 
     const auto add = [&](net::NodeId a, net::NodeId b) {
-        out.graph.add_link(a, b, rng.uniform(opt.min_capacity_gbps, opt.max_capacity_gbps),
-                           euclid_km(out, a, b));
+        graph.add_link(a, b, rng.uniform(opt.min_capacity_gbps, opt.max_capacity_gbps),
+                       euclid_km(out, a, b));
     };
 
     // Connectivity skeleton 1: an id-order chain through every region.
@@ -104,8 +105,8 @@ SyntheticTopology build_synthetic_topology(const SyntheticTopologyOptions& opt) 
     // robin across regions so the budget lands proportionally without a
     // per-region quota computation. Regions of one node cannot host a
     // chord and are skipped.
-    std::size_t remaining = target_links > out.graph.link_count()
-                                ? target_links - out.graph.link_count()
+    std::size_t remaining = target_links > graph.link_count()
+                                ? target_links - graph.link_count()
                                 : 0;
     while (remaining > 0) {
         bool placed_any = false;
@@ -121,6 +122,7 @@ SyntheticTopology build_synthetic_topology(const SyntheticTopologyOptions& opt) 
         if (!placed_any) break;  // every region is a singleton
     }
 
+    out.graph = std::move(graph).build();
     return out;
 }
 

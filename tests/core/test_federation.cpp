@@ -21,10 +21,11 @@ struct FederationFixture {
 
     FederationFixture() {
         // Region 0: nodes 0,1. Region 1: nodes 2,3.
-        graph.add_nodes(4);
+        net::GraphBuilder builder;
+        builder.add_nodes(4);
         region_of = {0, 0, 1, 1};
         auto offer = [&](std::size_t bp, net::NodeId a, net::NodeId b, double price) {
-            const net::LinkId l = graph.add_link(a, b, 50.0, 1000.0);
+            const net::LinkId l = builder.add_link(a, b, 50.0, 1000.0);
             bids[bp].offer(l, Money::from_dollars(price));
             return l;
         };
@@ -39,6 +40,7 @@ struct FederationFixture {
         // Cross-region links (usable by the single POC only).
         offer(1, net::NodeId{1u}, net::NodeId{2u}, 200.0);
         offer(2, net::NodeId{0u}, net::NodeId{3u}, 260.0);
+        graph = std::move(builder).build();
 
         tm = {
             {net::NodeId{0u}, net::NodeId{1u}, 10.0},  // intra region 0

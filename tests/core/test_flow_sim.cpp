@@ -26,13 +26,14 @@ TEST(FlowSim, RoutesAndReportsUtilization) {
 TEST(FlowSim, StretchOneOnShortestPath) {
     // Two-hop route (2 km) clearly beats the 4 km direct link even
     // under the router's hop-penalized congestion metric.
-    net::Graph g;
-    const auto n0 = g.add_node();
-    const auto n1 = g.add_node();
-    const auto n2 = g.add_node();
-    g.add_link(n0, n1, 10.0, 1.0);
-    g.add_link(n1, n2, 10.0, 1.0);
-    g.add_link(n0, n2, 10.0, 4.0);
+    net::GraphBuilder gb;
+    const auto n0 = gb.add_node();
+    const auto n1 = gb.add_node();
+    const auto n2 = gb.add_node();
+    gb.add_link(n0, n1, 10.0, 1.0);
+    gb.add_link(n1, n2, 10.0, 1.0);
+    gb.add_link(n0, n2, 10.0, 4.0);
+    const net::Graph g = std::move(gb).build();
     net::Subgraph sg(g);
     const FlowReport r = simulate_flows(sg, {{n0, n2, 2.0}});
     EXPECT_NEAR(r.stretch, 1.0, 1e-6);
@@ -120,10 +121,11 @@ TEST(FlowSim, ConcurrentFlowFallbackCapsOverRoutedDemands) {
     // lambda * volume per demand with lambda > 1 here, i.e. it
     // over-routes — the report must cap each demand at its offered
     // volume.
-    net::Graph g;
-    const auto s = g.add_node("s");
-    const auto t = g.add_node("t");
-    for (int i = 0; i < 6; ++i) g.add_link(s, t, 2.0, 1.0);
+    net::GraphBuilder gb;
+    const auto s = gb.add_node("s");
+    const auto t = gb.add_node("t");
+    for (int i = 0; i < 6; ++i) gb.add_link(s, t, 2.0, 1.0);
+    const net::Graph g = std::move(gb).build();
     net::Subgraph sg(g);
     const net::TrafficMatrix tm{{s, t, 9.0}};
 
@@ -181,13 +183,9 @@ TEST(FlowSim, FastPathOptionsAreBitIdentical) {
     net::PathCache cache;
     FlowSimOptions cached;
     cached.path_cache = &cache;
-    FlowSimOptions threaded;
-    threaded.sssp_threads = 4;
-    FlowSimOptions both;
-    both.path_cache = &cache;
-    both.sssp_threads = 4;
-    for (const FlowSimOptions* opt : {&cached, &threaded, &both}) {
-        const FlowReport r = simulate_flows(sg, tm, is_virtual, *opt);
+    // Twice through the cache: cold (misses) and warm (hits).
+    for (int pass = 0; pass < 2; ++pass) {
+        const FlowReport r = simulate_flows(sg, tm, is_virtual, cached);
         // Exact equality across the board: the fast path must be
         // bit-identical to the default serial computation.
         EXPECT_EQ(r.total_offered_gbps, base.total_offered_gbps);

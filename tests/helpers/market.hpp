@@ -18,11 +18,13 @@ struct ParallelLinksFixture {
     market::VirtualLinkContract contract;
 
     ParallelLinksFixture() {
-        const auto a = graph.add_node("left");
-        const auto b = graph.add_node("right");
-        const auto l0 = graph.add_link(a, b, 10.0, 1.0);
-        const auto l1 = graph.add_link(a, b, 10.0, 1.0);
-        const auto l2 = graph.add_link(a, b, 10.0, 1.0);
+        net::GraphBuilder builder;
+        const auto a = builder.add_node("left");
+        const auto b = builder.add_node("right");
+        const auto l0 = builder.add_link(a, b, 10.0, 1.0);
+        const auto l1 = builder.add_link(a, b, 10.0, 1.0);
+        const auto l2 = builder.add_link(a, b, 10.0, 1.0);
+        graph = std::move(builder).build();
         market::BpBid bid_a(market::BpId{0u}, "A");
         bid_a.offer(l0, Money::from_dollars(std::int64_t{100}));
         market::BpBid bid_b(market::BpId{1u}, "B");
@@ -52,7 +54,8 @@ struct RandomSmallInstance {
 
     explicit RandomSmallInstance(std::uint64_t seed, std::size_t bp_count = 3) {
         util::Rng rng(seed);
-        graph.add_nodes(3);
+        net::GraphBuilder builder;
+        builder.add_nodes(3);
         for (std::size_t b = 0; b < bp_count; ++b) {
             bids.emplace_back(market::BpId{b}, "BP" + std::to_string(b + 1));
         }
@@ -63,12 +66,13 @@ struct RandomSmallInstance {
             const auto u = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{3}));
             const std::size_t v = (u + 1 + static_cast<std::size_t>(
                                                rng.uniform_int(std::uint64_t{2}))) % 3;
-            const net::LinkId l = graph.add_link(net::NodeId{u}, net::NodeId{v},
-                                                 rng.uniform(5.0, 15.0), rng.uniform(1.0, 4.0));
+            const net::LinkId l = builder.add_link(net::NodeId{u}, net::NodeId{v},
+                                                   rng.uniform(5.0, 15.0), rng.uniform(1.0, 4.0));
             const auto owner = static_cast<std::size_t>(
                 rng.uniform_int(std::uint64_t{bp_count}));
             bids[owner].offer(l, Money::from_dollars(rng.uniform(50.0, 500.0)));
         }
+        graph = std::move(builder).build();
         tm = {{net::NodeId{0u}, net::NodeId{1u}, rng.uniform(2.0, 6.0)},
               {net::NodeId{1u}, net::NodeId{2u}, rng.uniform(2.0, 6.0)}};
     }

@@ -54,11 +54,12 @@ struct DeltaMarketFixture {
     net::TrafficMatrix tm;
 
     DeltaMarketFixture() {
-        graph.add_nodes(6);
+        net::GraphBuilder builder;
+        builder.add_nodes(6);
         util::Rng rng(4242);
         const auto add = [&](std::size_t u, std::size_t v) {
-            const net::LinkId l = graph.add_link(net::NodeId{u}, net::NodeId{v}, 10.0,
-                                                 rng.uniform(1.0, 4.0));
+            const net::LinkId l = builder.add_link(net::NodeId{u}, net::NodeId{v}, 10.0,
+                                                   rng.uniform(1.0, 4.0));
             links.push_back(l);
             owner.push_back(links.size() % 3);
             price.push_back(Money::from_dollars(rng.uniform(80.0, 400.0)));
@@ -71,6 +72,7 @@ struct DeltaMarketFixture {
             add(i, i + 3);
             add(i, i + 3);
         }
+        graph = std::move(builder).build();
         tm = {{net::NodeId{0u}, net::NodeId{3u}, 2.0},
               {net::NodeId{1u}, net::NodeId{5u}, 3.0},
               {net::NodeId{4u}, net::NodeId{2u}, 2.5}};

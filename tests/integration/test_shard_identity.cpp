@@ -34,11 +34,12 @@ struct ShardMarketFixture {
     net::TrafficMatrix tm;
 
     ShardMarketFixture() {
-        graph.add_nodes(6);
+        net::GraphBuilder builder;
+        builder.add_nodes(6);
         util::Rng rng(2424);
         const auto add = [&](std::size_t u, std::size_t v) {
-            const net::LinkId l = graph.add_link(net::NodeId{u}, net::NodeId{v}, 10.0,
-                                                 rng.uniform(1.0, 4.0));
+            const net::LinkId l = builder.add_link(net::NodeId{u}, net::NodeId{v}, 10.0,
+                                                   rng.uniform(1.0, 4.0));
             links.push_back(l);
             owner.push_back(links.size() % 3);
             price.push_back(Money::from_dollars(rng.uniform(80.0, 400.0)));
@@ -51,6 +52,7 @@ struct ShardMarketFixture {
             add(i, i + 3);
             add(i, i + 3);
         }
+        graph = std::move(builder).build();
         // Several demands per source so the SoA blocks are non-trivial.
         tm = {{net::NodeId{0u}, net::NodeId{3u}, 2.0},
               {net::NodeId{0u}, net::NodeId{4u}, 1.5},

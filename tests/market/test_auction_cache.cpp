@@ -102,7 +102,6 @@ TEST(CachingOracle, DistinctActiveSetsAreDistinctEntries) {
 TEST(Oracle, QueryCountIsExactUnderConcurrency) {
     test::ParallelLinksFixture fx;
     const AcceptabilityOracle oracle(fx.graph, fx.demand(8.0), ConstraintKind::kLoad);
-    fx.graph.warm_adjacency();
 
     constexpr std::size_t kQueries = 400;
     util::ThreadPool pool(8);

@@ -109,15 +109,16 @@ TEST(OfferPool, OwnedSubsetFilters) {
 }
 
 TEST(OfferPool, VirtualLinkOwnership) {
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto l0 = g.add_link(a, b, 5.0, 1.0);
-    const auto l1 = g.add_link(a, b, 5.0, 1.0);
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto l0 = gb.add_link(a, b, 5.0, 1.0);
+    const auto l1 = gb.add_link(a, b, 5.0, 1.0);
     BpBid bid(BpId{0u}, "A");
     bid.offer(l0, 100_usd);
     VirtualLinkContract c;
     c.add(l1, 400_usd);
+    const net::Graph g = std::move(gb).build();
     const OfferPool pool({bid}, c, g);
     EXPECT_TRUE(pool.is_virtual(l1));
     EXPECT_FALSE(pool.owner(l1).valid());
@@ -127,13 +128,14 @@ TEST(OfferPool, VirtualLinkOwnership) {
 }
 
 TEST(OfferPool, UnofferedGraphLinksAreAbsent) {
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto l0 = g.add_link(a, b, 5.0, 1.0);
-    g.add_link(a, b, 5.0, 1.0);  // nobody offers this one
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto l0 = gb.add_link(a, b, 5.0, 1.0);
+    gb.add_link(a, b, 5.0, 1.0);  // nobody offers this one
     BpBid bid(BpId{0u}, "A");
     bid.offer(l0, 100_usd);
+    const net::Graph g = std::move(gb).build();
     const OfferPool pool({bid}, {}, g);
     EXPECT_EQ(pool.offered_links().size(), 1u);
     EXPECT_FALSE(pool.is_offered(net::LinkId{1u}));
@@ -141,14 +143,15 @@ TEST(OfferPool, UnofferedGraphLinksAreAbsent) {
 }
 
 TEST(OfferPool, RejectsDoubleOwnership) {
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto l0 = g.add_link(a, b, 5.0, 1.0);
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto l0 = gb.add_link(a, b, 5.0, 1.0);
     BpBid bid1(BpId{0u}, "A");
     bid1.offer(l0, 100_usd);
     BpBid bid2(BpId{1u}, "B");
     bid2.offer(l0, 150_usd);
+    const net::Graph g = std::move(gb).build();
     EXPECT_THROW(OfferPool({bid1, bid2}, {}, g), util::ContractViolation);
 }
 

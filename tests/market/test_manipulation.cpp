@@ -58,11 +58,12 @@ TEST(JointWithholding, VirtualLinksBoundInflation) {
     // exactly the bound the paper attributes to the external ISPs.
     test::ParallelLinksFixture fx;
     auto contract = fx.contract;
-    const net::LinkId lv =
-        fx.graph.add_link(net::NodeId{0u}, net::NodeId{1u}, 10.0, 1.0);
+    net::GraphBuilder builder(fx.graph);
+    const net::LinkId lv = builder.add_link(net::NodeId{0u}, net::NodeId{1u}, 10.0, 1.0);
+    const net::Graph graph = std::move(builder).build();
     contract.add(lv, 400_usd);
-    const OfferPool pool(fx.bids, contract, fx.graph);
-    const AcceptabilityOracle oracle(fx.graph, fx.demand(8.0), ConstraintKind::kLoad);
+    const OfferPool pool(fx.bids, contract, graph);
+    const AcceptabilityOracle oracle(graph, fx.demand(8.0), ConstraintKind::kLoad);
     const auto analysis = analyze_joint_withholding(pool, oracle, exact_options());
     ASSERT_TRUE(analysis.has_value());
     const BpOutcome& withheld_a = analysis->withheld.outcome(BpId{0u});

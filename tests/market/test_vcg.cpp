@@ -101,15 +101,16 @@ TEST(Vcg, VirtualLinksBoundPayments) {
     // bounded by the virtual alternative: without A, optimum = B ($150),
     // unchanged; but with only A and the virtual link offered, removing
     // A reprices to $400.
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto l0 = g.add_link(a, b, 10.0, 1.0);
-    const auto lv = g.add_link(a, b, 10.0, 1.0);
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto l0 = gb.add_link(a, b, 10.0, 1.0);
+    const auto lv = gb.add_link(a, b, 10.0, 1.0);
     BpBid bid(BpId{0u}, "A");
     bid.offer(l0, 100_usd);
     VirtualLinkContract contract;
     contract.add(lv, 400_usd);
+    const net::Graph g = std::move(gb).build();
     const OfferPool pool({bid}, contract, g);
     const AcceptabilityOracle oracle(g, {{a, b, 8.0}}, ConstraintKind::kLoad);
     const auto result = run_auction(pool, oracle, exact_options());
@@ -121,15 +122,16 @@ TEST(Vcg, VirtualLinksBoundPayments) {
 }
 
 TEST(Vcg, SelectedVirtualLinksCostedSeparately) {
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto l0 = g.add_link(a, b, 10.0, 1.0);
-    const auto lv = g.add_link(a, b, 10.0, 1.0);
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto l0 = gb.add_link(a, b, 10.0, 1.0);
+    const auto lv = gb.add_link(a, b, 10.0, 1.0);
     BpBid bid(BpId{0u}, "A");
     bid.offer(l0, 100_usd);
     VirtualLinkContract contract;
     contract.add(lv, 400_usd);
+    const net::Graph g = std::move(gb).build();
     const OfferPool pool({bid}, contract, g);
     // Demand 15 needs both links.
     const AcceptabilityOracle oracle(g, {{a, b, 15.0}}, ConstraintKind::kLoad);
@@ -184,12 +186,13 @@ TEST(Vcg, PivotUndefinedWhenRemovalEmptiesOfferPoolHeuristic) {
     // A(OL - L_alpha) literally empty: one BP offers the only link, no
     // virtual fallback. The heuristic path must surface the undefined
     // pivot and fall back to the declared cost.
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto l0 = g.add_link(a, b, 10.0, 1.0);
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto l0 = gb.add_link(a, b, 10.0, 1.0);
     BpBid bid(BpId{0u}, "Essential");
     bid.offer(l0, 100_usd);
+    const net::Graph g = std::move(gb).build();
     const OfferPool pool({bid}, {}, g);
     const AcceptabilityOracle oracle(g, {{a, b, 5.0}}, ConstraintKind::kLoad);
     const auto result = run_auction(pool, oracle, {});  // heuristic solver
@@ -227,17 +230,18 @@ TEST(Vcg, HeuristicNegativeExternalityClampsToZero) {
     // re-solve over {solo} alone finds $10 < $11. Raw externality is
     // negative; the payment must clamp to the declared cost so the VCG
     // lower bound P >= C holds.
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto solo = g.add_link(a, b, 10.0, 1.0);
-    const auto pair_a = g.add_link(a, b, 10.0, 1.0);
-    const auto pair_b = g.add_link(a, b, 10.0, 1.0);
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto solo = gb.add_link(a, b, 10.0, 1.0);
+    const auto pair_a = gb.add_link(a, b, 10.0, 1.0);
+    const auto pair_b = gb.add_link(a, b, 10.0, 1.0);
     BpBid bid0(BpId{0u}, "Solo");
     bid0.offer(solo, 10_usd);
     BpBid bid1(BpId{1u}, "Pair");
     bid1.offer(pair_a, 5_usd);
     bid1.offer(pair_b, 6_usd);
+    const net::Graph g = std::move(gb).build();
     const OfferPool pool({bid0, bid1}, {}, g);
     const EitherBundleOracle oracle(solo, pair_a, pair_b);
 

@@ -124,18 +124,19 @@ TEST(SelectLinks, DiscountKeepsBundleWhenCheaper) {
     // Keeping one of the pair alone costs $100 - the cheapest option.
     // Deletion must not stop at the $120 bundle out of fear of losing
     // the discount.
-    net::Graph g;
-    const auto a = g.add_node();
-    const auto b = g.add_node();
-    const auto l0 = g.add_link(a, b, 10.0, 1.0);
-    const auto l1 = g.add_link(a, b, 10.0, 1.0);
-    const auto l2 = g.add_link(a, b, 10.0, 1.0);
+    net::GraphBuilder gb;
+    const auto a = gb.add_node();
+    const auto b = gb.add_node();
+    const auto l0 = gb.add_link(a, b, 10.0, 1.0);
+    const auto l1 = gb.add_link(a, b, 10.0, 1.0);
+    const auto l2 = gb.add_link(a, b, 10.0, 1.0);
     BpBid bid1(BpId{0u}, "pair");
     bid1.offer(l0, 100_usd);
     bid1.offer(l1, 100_usd);
     bid1.add_discount(DiscountTier{2, 0.4});
     BpBid bid2(BpId{1u}, "rival");
     bid2.offer(l2, 130_usd);
+    const net::Graph g = std::move(gb).build();
     const OfferPool pool({bid1, bid2}, {}, g);
     const AcceptabilityOracle oracle(g, {{a, b, 5.0}}, ConstraintKind::kLoad);
     const auto sel = select_links_exact(pool, oracle, pool.offered_links());

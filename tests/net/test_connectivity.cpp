@@ -28,9 +28,10 @@ TEST(Components, SplitsWhenLinkDeactivated) {
 }
 
 TEST(Components, IsolatedNodesAreOwnComponents) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_EQ(connected_components(sg).count, 2u);
 }
@@ -45,29 +46,32 @@ TEST(AllPairsConnected, TracksDemandEndpoints) {
 }
 
 TEST(AllPairsConnected, IgnoresZeroDemands) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     TrafficMatrix tm{{NodeId{0u}, NodeId{2u}, 0.0}};
     EXPECT_TRUE(all_pairs_connected(sg, tm));
 }
 
 TEST(SpanningConnected, IgnoresIsolatedNodes) {
-    Graph g;
-    g.add_nodes(4);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
-    g.add_link(NodeId{1u}, NodeId{2u}, 1.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(4);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    gb.add_link(NodeId{1u}, NodeId{2u}, 1.0, 1.0);
     // Node 3 has no links at all: not a partition.
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_TRUE(spanning_connected(sg));
 }
 
 TEST(SpanningConnected, DetectsPartition) {
-    Graph g;
-    g.add_nodes(4);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
-    g.add_link(NodeId{2u}, NodeId{3u}, 1.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(4);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    gb.add_link(NodeId{2u}, NodeId{3u}, 1.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_FALSE(spanning_connected(sg));
 }
@@ -85,11 +89,12 @@ TEST(Bridges, RingHasNone) {
 }
 
 TEST(Bridges, ParallelLinksAreNotBridges) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);  // parallel
-    g.add_link(NodeId{1u}, NodeId{2u}, 1.0, 1.0);  // bridge
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);  // parallel
+    gb.add_link(NodeId{1u}, NodeId{2u}, 1.0, 1.0);  // bridge
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     const auto bridges = find_bridges(sg);
     ASSERT_EQ(bridges.size(), 1u);
@@ -98,15 +103,16 @@ TEST(Bridges, ParallelLinksAreNotBridges) {
 
 TEST(Bridges, BarbellMiddleLink) {
     // Two triangles joined by one link: only the joiner is a bridge.
-    Graph g;
-    g.add_nodes(6);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
-    g.add_link(NodeId{1u}, NodeId{2u}, 1.0, 1.0);
-    g.add_link(NodeId{2u}, NodeId{0u}, 1.0, 1.0);
-    g.add_link(NodeId{3u}, NodeId{4u}, 1.0, 1.0);
-    g.add_link(NodeId{4u}, NodeId{5u}, 1.0, 1.0);
-    g.add_link(NodeId{5u}, NodeId{3u}, 1.0, 1.0);
-    const LinkId joiner = g.add_link(NodeId{2u}, NodeId{3u}, 1.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(6);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    gb.add_link(NodeId{1u}, NodeId{2u}, 1.0, 1.0);
+    gb.add_link(NodeId{2u}, NodeId{0u}, 1.0, 1.0);
+    gb.add_link(NodeId{3u}, NodeId{4u}, 1.0, 1.0);
+    gb.add_link(NodeId{4u}, NodeId{5u}, 1.0, 1.0);
+    gb.add_link(NodeId{5u}, NodeId{3u}, 1.0, 1.0);
+    const LinkId joiner = gb.add_link(NodeId{2u}, NodeId{3u}, 1.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     const auto bridges = find_bridges(sg);
     ASSERT_EQ(bridges.size(), 1u);

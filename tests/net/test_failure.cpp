@@ -15,9 +15,10 @@ TEST(SatisfiesLoad, BasicFeasibility) {
 }
 
 TEST(SatisfiesLoad, DisconnectedFailsFast) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_FALSE(satisfies_load(sg, {{NodeId{0u}, NodeId{2u}, 1.0}}));
 }
@@ -50,9 +51,10 @@ TEST(SingleFailure, RingWithTightCapacityFails) {
 TEST(SingleFailure, UnloadedLinksNeedNoRecheck) {
     // A triangle with a dangling extra link; routing never touches it,
     // and the oracle should still pass quickly (behavioral check only).
-    Graph g = test::triangle();
-    const NodeId d = g.add_node();
-    g.add_link(NodeId{0u}, d, 1.0, 1.0);
+    GraphBuilder gb(test::triangle());
+    const NodeId d = gb.add_node();
+    gb.add_link(NodeId{0u}, d, 1.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     TrafficMatrix tm{{NodeId{0u}, NodeId{1u}, 2.0}};
     // 0-1 demand has backup via 2; dangling link irrelevant.
@@ -69,9 +71,10 @@ TEST(PrimaryPaths, ShortestByLength) {
 }
 
 TEST(PrimaryPaths, EmptyForZeroOrDisconnected) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     TrafficMatrix tm{{NodeId{0u}, NodeId{2u}, 1.0}, {NodeId{0u}, NodeId{1u}, 0.0}};
     const auto primaries = primary_paths(sg, tm);

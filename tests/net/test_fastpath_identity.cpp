@@ -280,13 +280,14 @@ TEST(FastPathIdentity, ConcurrentFlowMatchesPerDemandScreening) {
 TEST(FastPathIdentity, ConcurrentFlowUnreachableDemandStillZero) {
     // Two components: demand across them must yield lambda == 0 in both
     // implementations (screening dedup must not skip the decisive run).
-    net::Graph g;
-    const NodeId a = g.add_node("a");
-    const NodeId b = g.add_node("b");
-    const NodeId c = g.add_node("c");
-    const NodeId d = g.add_node("d");
-    g.add_link(a, b, 10.0, 1.0);
-    g.add_link(c, d, 10.0, 1.0);
+    net::GraphBuilder gb;
+    const NodeId a = gb.add_node("a");
+    const NodeId b = gb.add_node("b");
+    const NodeId c = gb.add_node("c");
+    const NodeId d = gb.add_node("d");
+    gb.add_link(a, b, 10.0, 1.0);
+    gb.add_link(c, d, 10.0, 1.0);
+    const net::Graph g = std::move(gb).build();
     const net::Subgraph sg(g);
     // Same source twice: first demand reachable, second not — the dedup
     // path answers the second from the first's tree.

@@ -12,14 +12,14 @@ namespace {
 
 /// Diamond: 0-1-3 (cost 2), 0-2-3 (cost 3), plus direct 0-3 (cost 4).
 Graph diamond() {
-    Graph g;
-    g.add_nodes(4);
-    g.add_link(NodeId{0u}, NodeId{1u}, 10.0, 1.0);  // link 0
-    g.add_link(NodeId{1u}, NodeId{3u}, 10.0, 1.0);  // link 1
-    g.add_link(NodeId{0u}, NodeId{2u}, 10.0, 1.0);  // link 2
-    g.add_link(NodeId{2u}, NodeId{3u}, 10.0, 2.0);  // link 3
-    g.add_link(NodeId{0u}, NodeId{3u}, 10.0, 4.0);  // link 4
-    return g;
+    GraphBuilder gb;
+    gb.add_nodes(4);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 10.0, 1.0);  // link 0
+    gb.add_link(NodeId{1u}, NodeId{3u}, 10.0, 1.0);  // link 1
+    gb.add_link(NodeId{0u}, NodeId{2u}, 10.0, 1.0);  // link 2
+    gb.add_link(NodeId{2u}, NodeId{3u}, 10.0, 2.0);  // link 3
+    gb.add_link(NodeId{0u}, NodeId{3u}, 10.0, 4.0);  // link 4
+    return std::move(gb).build();
 }
 
 TEST(Yen, FindsPathsInWeightOrder) {
@@ -50,8 +50,9 @@ TEST(Yen, SinglePathGraph) {
 }
 
 TEST(Yen, DisconnectedYieldsEmpty) {
-    Graph g;
-    g.add_nodes(2);
+    GraphBuilder gb;
+    gb.add_nodes(2);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_TRUE(yen_k_shortest(sg, NodeId{0u}, NodeId{1u}, weight_unit(), 3).empty());
 }
@@ -94,10 +95,11 @@ TEST(Yen, FirstPathMatchesDijkstra) {
 }
 
 TEST(Yen, ParallelLinksCountAsDistinctPaths) {
-    Graph g;
-    g.add_nodes(2);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 2.0);
+    GraphBuilder gb;
+    gb.add_nodes(2);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 2.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     const auto paths = yen_k_shortest(sg, NodeId{0u}, NodeId{1u}, weight_by_length(g), 3);
     ASSERT_EQ(paths.size(), 2u);

@@ -25,26 +25,29 @@ TEST(MaxFlow, ClassicInstance) {
 }
 
 TEST(MaxFlow, ChainBottleneck) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 7.0, 1.0);
-    g.add_link(NodeId{1u}, NodeId{2u}, 3.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 7.0, 1.0);
+    gb.add_link(NodeId{1u}, NodeId{2u}, 3.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_NEAR(max_flow(sg, NodeId{0u}, NodeId{2u}).value, 3.0, 1e-9);
 }
 
 TEST(MaxFlow, ParallelLinksAdd) {
-    Graph g;
-    g.add_nodes(2);
-    g.add_link(NodeId{0u}, NodeId{1u}, 2.0, 1.0);
-    g.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(2);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 2.0, 1.0);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_NEAR(max_flow(sg, NodeId{0u}, NodeId{1u}).value, 7.0, 1e-9);
 }
 
 TEST(MaxFlow, DisconnectedIsZero) {
-    Graph g;
-    g.add_nodes(2);
+    GraphBuilder gb;
+    gb.add_nodes(2);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_DOUBLE_EQ(max_flow(sg, NodeId{0u}, NodeId{1u}).value, 0.0);
 }

@@ -102,9 +102,10 @@ TEST(ConcurrentFlow, ScaledRoutingIsCapacityFeasible) {
 }
 
 TEST(ConcurrentFlow, UnreachableDemandGivesZeroLambda) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 5.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     TrafficMatrix tm{{NodeId{0u}, NodeId{2u}, 1.0}};
     EXPECT_DOUBLE_EQ(max_concurrent_flow(sg, tm, 0.1).lambda, 0.0);

@@ -11,7 +11,6 @@
 #include "net/ksp.hpp"
 #include "net/maxflow.hpp"
 #include "net/mcf.hpp"
-#include "net/mincostflow.hpp"
 
 namespace poc::net {
 namespace {
@@ -114,19 +113,6 @@ TEST_P(NetProperties, SingleFailureImpliesPerLinkFeasibility) {
         cut.set_active(l, false);
         EXPECT_TRUE(is_routable(cut, tm, 0.1)) << "link " << l.value();
     }
-}
-
-TEST_P(NetProperties, MinCostFlowCostAtLeastShortestPathRate) {
-    // Any feasible flow of amount A costs at least A * dist(s,t).
-    Graph g = test::random_connected(rng_, 10, 10);
-    Subgraph sg(g);
-    const auto w = weight_by_length(g);
-    const auto sp = shortest_path(sg, NodeId{0u}, NodeId{9u}, w);
-    ASSERT_TRUE(sp.has_value());
-    const double amount = rng_.uniform(0.5, 3.0);
-    const auto mcf = min_cost_flow(sg, NodeId{0u}, NodeId{9u}, amount, w);
-    if (!mcf) return;
-    EXPECT_GE(mcf->cost, amount * sp->weight - 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetProperties,

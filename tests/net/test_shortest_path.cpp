@@ -28,9 +28,10 @@ TEST(Dijkstra, UnitWeightPrefersFewerHops) {
 }
 
 TEST(Dijkstra, UnreachableReportsInfinity) {
-    Graph g;
-    g.add_nodes(3);
-    g.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    GraphBuilder gb;
+    gb.add_nodes(3);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 1.0, 1.0);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     const auto tree = dijkstra(sg, NodeId{0u}, weight_unit());
     EXPECT_FALSE(tree.reachable(NodeId{2u}));
@@ -116,8 +117,9 @@ TEST(ShortestPath, ReturnsWeightedPath) {
 }
 
 TEST(ShortestPath, NulloptWhenDisconnected) {
-    Graph g;
-    g.add_nodes(2);
+    GraphBuilder gb;
+    gb.add_nodes(2);
+    const Graph g = std::move(gb).build();
     Subgraph sg(g);
     EXPECT_FALSE(shortest_path(sg, NodeId{0u}, NodeId{1u}, weight_unit()).has_value());
 }

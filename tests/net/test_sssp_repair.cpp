@@ -51,32 +51,32 @@ ShortestPathTree cold_tree(const Subgraph& sg, NodeId source, SsspMetric metric)
 /// parent derivation must reproduce Dijkstra's (dist, node id, link
 /// id) tie-break exactly rather than just "a" shortest tree.
 Graph tie_break_zoo() {
-    Graph g;
-    g.add_nodes(6);
-    g.add_link(NodeId{0u}, NodeId{1u}, 10.0, 0.0);
-    g.add_link(NodeId{1u}, NodeId{2u}, 10.0, 0.0);
-    g.add_link(NodeId{0u}, NodeId{2u}, 10.0, 0.0);
-    g.add_link(NodeId{2u}, NodeId{3u}, 10.0, 1.0);
-    g.add_link(NodeId{3u}, NodeId{4u}, 10.0, 0.0);
-    g.add_link(NodeId{3u}, NodeId{4u}, 10.0, 0.0);  // zero-length parallel pair
-    g.add_link(NodeId{4u}, NodeId{5u}, 10.0, 2.0);
-    g.add_link(NodeId{0u}, NodeId{1u}, 10.0, 1.0);  // parallel with distinct length
-    g.add_link(NodeId{1u}, NodeId{3u}, 10.0, 1.0);  // equal-length alternative to 2-3
-    return g;
+    GraphBuilder gb;
+    gb.add_nodes(6);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 10.0, 0.0);
+    gb.add_link(NodeId{1u}, NodeId{2u}, 10.0, 0.0);
+    gb.add_link(NodeId{0u}, NodeId{2u}, 10.0, 0.0);
+    gb.add_link(NodeId{2u}, NodeId{3u}, 10.0, 1.0);
+    gb.add_link(NodeId{3u}, NodeId{4u}, 10.0, 0.0);
+    gb.add_link(NodeId{3u}, NodeId{4u}, 10.0, 0.0);  // zero-length parallel pair
+    gb.add_link(NodeId{4u}, NodeId{5u}, 10.0, 2.0);
+    gb.add_link(NodeId{0u}, NodeId{1u}, 10.0, 1.0);  // parallel with distinct length
+    gb.add_link(NodeId{1u}, NodeId{3u}, 10.0, 1.0);  // equal-length alternative to 2-3
+    return std::move(gb).build();
 }
 
 /// Two disconnected chains; restores across the gap flip reachability.
 Graph split_graph() {
-    Graph g;
-    g.add_nodes(8);
+    GraphBuilder gb;
+    gb.add_nodes(8);
     for (std::size_t i = 0; i + 1 < 4; ++i) {
-        g.add_link(NodeId{i}, NodeId{i + 1}, 10.0, 1.0 + static_cast<double>(i));
+        gb.add_link(NodeId{i}, NodeId{i + 1}, 10.0, 1.0 + static_cast<double>(i));
     }
     for (std::size_t i = 4; i + 1 < 8; ++i) {
-        g.add_link(NodeId{i}, NodeId{i + 1}, 10.0, 2.0);
+        gb.add_link(NodeId{i}, NodeId{i + 1}, 10.0, 2.0);
     }
-    g.add_link(NodeId{1u}, NodeId{6u}, 10.0, 5.0);  // the only bridge
-    return g;
+    gb.add_link(NodeId{1u}, NodeId{6u}, 10.0, 5.0);  // the only bridge
+    return std::move(gb).build();
 }
 
 std::vector<Graph> graph_zoo() {
@@ -113,13 +113,13 @@ std::vector<Subgraph> base_masks(const Graph& g, util::Rng& rng) {
 
 /// Rebuild `g` with one link's length replaced.
 Graph with_length(const Graph& g, LinkId target, double new_len) {
-    Graph out;
-    out.add_nodes(g.node_count());
+    GraphBuilder builder;
+    builder.add_nodes(g.node_count());
     for (std::size_t i = 0; i < g.link_count(); ++i) {
         const Link& l = g.link(LinkId{i});
-        out.add_link(l.a, l.b, l.capacity_gbps, i == target.index() ? new_len : l.length_km);
+        builder.add_link(l.a, l.b, l.capacity_gbps, i == target.index() ? new_len : l.length_km);
     }
-    return out;
+    return std::move(builder).build();
 }
 
 TEST(SsspRepairMatrix, EverySingleEdgeCutMatchesColdDijkstra) {

@@ -237,18 +237,13 @@ TEST(BatchedSssp, DistancesMatchPerDemandShortestPathInAllModes) {
         }
 
         net::PathCache cache;
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            for (net::PathCache* c : {static_cast<net::PathCache*>(nullptr), &cache}) {
-                net::SsspBatchOptions opt;
-                opt.threads = threads;
-                opt.cache = c;
-                const auto got = net::batched_demand_distances(sg, tm, opt);
-                ASSERT_EQ(got.size(), expected.size());
-                for (std::size_t j = 0; j < got.size(); ++j) {
-                    EXPECT_EQ(got[j], expected[j])
-                        << "demand " << j << " threads=" << threads
-                        << " cache=" << (c != nullptr);
-                }
+        for (net::PathCache* c : {static_cast<net::PathCache*>(nullptr), &cache}) {
+            net::SsspBatchOptions opt;
+            opt.cache = c;
+            const auto got = net::batched_demand_distances(sg, tm, opt);
+            ASSERT_EQ(got.size(), expected.size());
+            for (std::size_t j = 0; j < got.size(); ++j) {
+                EXPECT_EQ(got[j], expected[j]) << "demand " << j << " cache=" << (c != nullptr);
             }
         }
     }
@@ -272,13 +267,10 @@ TEST(BatchedSssp, PrimaryPathsMatchPerDemandReference) {
     }
 
     net::PathCache cache;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        for (net::PathCache* c : {static_cast<net::PathCache*>(nullptr), &cache}) {
-            net::SsspBatchOptions opt;
-            opt.threads = threads;
-            opt.cache = c;
-            EXPECT_EQ(net::batched_primary_paths(sg, tm, opt), expected);
-        }
+    for (net::PathCache* c : {static_cast<net::PathCache*>(nullptr), &cache}) {
+        net::SsspBatchOptions opt;
+        opt.cache = c;
+        EXPECT_EQ(net::batched_primary_paths(sg, tm, opt), expected);
     }
 }
 

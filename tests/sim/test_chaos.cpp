@@ -30,13 +30,14 @@ struct ChaosFixture {
     net::TrafficMatrix tm;
 
     explicit ChaosFixture(bool with_virtual = false) {
-        const auto n0 = graph.add_node("n0");
-        const auto n1 = graph.add_node("n1");
-        const auto n2 = graph.add_node("n2");
-        a = graph.add_link(n0, n1, 10.0, 1.0);
-        b = graph.add_link(n0, n1, 10.0, 1.0);
-        c = graph.add_link(n0, n2, 10.0, 1.0);
-        d = graph.add_link(n2, n1, 10.0, 1.0);
+        net::GraphBuilder builder;
+        const auto n0 = builder.add_node("n0");
+        const auto n1 = builder.add_node("n1");
+        const auto n2 = builder.add_node("n2");
+        a = builder.add_link(n0, n1, 10.0, 1.0);
+        b = builder.add_link(n0, n1, 10.0, 1.0);
+        c = builder.add_link(n0, n2, 10.0, 1.0);
+        d = builder.add_link(n2, n1, 10.0, 1.0);
         market::BpBid bid_a(market::BpId{0u}, "A");
         bid_a.offer(a, Money::from_dollars(std::int64_t{100}));
         market::BpBid bid_b(market::BpId{1u}, "B");
@@ -47,9 +48,10 @@ struct ChaosFixture {
         bids = {std::move(bid_a), std::move(bid_b), std::move(bid_c)};
         if (with_virtual) {
             // Slightly longer so routing prefers real links when whole.
-            v = graph.add_link(n0, n1, 10.0, 1.5);
+            v = builder.add_link(n0, n1, 10.0, 1.5);
             contract.add(v, Money::from_dollars(std::int64_t{600}));
         }
+        graph = std::move(builder).build();
         tm = {{n0, n1, 6.0}};
     }
 
