@@ -8,6 +8,12 @@
 // when std::thread::hardware_concurrency() > 1. The JSON records the
 // actual thread count of the machine that produced it, so a 1-core CI
 // runner's ~1.0x rows are honest rather than wrong.
+//
+// The last instance is the paper-scale one: the seed-42 Fig. 2 pool and
+// traffic matrix under constraint #1, serial and parallel only, one rep
+// (a serial clearing takes seconds). Every row reports the acceptability
+// oracle's busy time per query.
+#include <atomic>
 #include <chrono>
 #include <deque>
 #include <fstream>
@@ -33,6 +39,36 @@ struct Instance {
     net::TrafficMatrix tm;
     market::OracleOptions oopt;
     bool exact = false;
+    bool paper_scale = false;  // serial and parallel only, one rep
+};
+
+/// Pass-through oracle that sums the wall time spent inside accepts()
+/// across all calling threads.
+class TimedOracle final : public market::Oracle {
+public:
+    explicit TimedOracle(const market::Oracle& inner) : inner_(&inner) {}
+
+    double busy_us() const noexcept {
+        return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) / 1e3;
+    }
+
+    std::optional<std::uint64_t> verdict_fingerprint() const override {
+        return inner_->verdict_fingerprint();
+    }
+
+private:
+    bool accepts_impl(const net::Subgraph& sg) const override {
+        const auto t0 = std::chrono::steady_clock::now();
+        const bool ok = inner_->accepts(sg);
+        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+        busy_ns_.fetch_add(static_cast<std::uint64_t>(ns), std::memory_order_relaxed);
+        return ok;
+    }
+
+    const market::Oracle* inner_;
+    mutable std::atomic<std::uint64_t> busy_ns_{0};
 };
 
 /// Generated-topology instance (the Figure-2 pipeline shape at bench
@@ -57,11 +93,31 @@ Instance topology_instance(std::size_t bp_count, std::size_t max_cities, std::ui
     gopt.total_gbps = 300.0;
     auto tm = topo::aggregate_top_n(topo::gravity_traffic(topology, gopt), 20);
 
-    Instance inst{"topology", bp_count, std::move(pool), std::move(tm), {}, false};
+    Instance inst{"topology", bp_count, std::move(pool), std::move(tm), {}, false, false};
     inst.oopt.fidelity = market::OracleFidelity::kFast;
     std::ostringstream label;
     label << "topo-" << bp_count << "bp";
     inst.label = label.str();
+    return inst;
+}
+
+/// The bench/fig2_auction instance at paper scale (default generator,
+/// seed 42, 5000 Gbps gravity matrix aggregated to the top 60 demands),
+/// under the fast oracle.
+Instance fig2_instance() {
+    topo::BpGeneratorOptions bopt;
+    bopt.seed = 42;
+    static std::deque<topo::PocTopology> topologies;
+    topologies.push_back(topo::build_poc_topology(topo::generate_bp_networks(bopt), {}));
+    topo::PocTopology& topology = topologies.back();
+    auto pool = market::make_offer_pool(topology);
+    topo::GravityOptions gopt;
+    gopt.total_gbps = 5000.0;
+    auto tm = topo::aggregate_top_n(topo::gravity_traffic(topology, gopt), 60);
+
+    Instance inst{"fig2-paper-seed42", topology.bp_count, std::move(pool), std::move(tm), {},
+                  false, true};
+    inst.oopt.fidelity = market::OracleFidelity::kFast;
     return inst;
 }
 
@@ -92,7 +148,7 @@ Instance exact_instance(std::size_t links, std::uint64_t seed) {
     static std::deque<net::Graph> graphs;
     graphs.push_back(std::move(builder).build());
     Instance inst{"exact-" + std::to_string(links) + "l", 3,
-                  market::OfferPool(bids, {}, graphs.back()), std::move(tm), {}, true};
+                  market::OfferPool(bids, {}, graphs.back()), std::move(tm), {}, true, false};
     return inst;
 }
 
@@ -130,6 +186,7 @@ struct Row {
     double ms = 0.0;
     double speedup_vs_serial = 1.0;
     std::size_t oracle_queries = 0;
+    double oracle_us_per_query = 0.0;
     std::size_t oracle_cache_hits = 0;
     std::size_t solve_cache_hits = 0;
 };
@@ -153,6 +210,7 @@ int main(int argc, char** argv) {
     instances.push_back(topology_instance(10, 14, 7003));
     instances.push_back(exact_instance(10, 7101));
     instances.push_back(exact_instance(12, 7102));
+    instances.push_back(fig2_instance());
 
     std::vector<Row> rows;
     bool all_identical = true;
@@ -162,22 +220,30 @@ int main(int argc, char** argv) {
         std::optional<market::AuctionResult> reference;
         double serial_ms = 0.0;
         for (const Mode& mode : modes) {
+            if (inst.paper_scale && mode.cache) continue;
             market::AuctionOptions opt;
             opt.exact = inst.exact;
             opt.threads = mode.threads;
             opt.cache = mode.cache;
 
             double best_ms = 0.0;
+            double best_us_per_query = 0.0;
             std::optional<market::AuctionResult> result;
-            for (int rep = 0; rep < kReps; ++rep) {
+            const int reps = inst.paper_scale ? 1 : kReps;
+            for (int rep = 0; rep < reps; ++rep) {
                 // Fresh oracle per run: lifetime query counts comparable.
                 const market::AcceptabilityOracle oracle(inst.pool.graph(), inst.tm,
                                                          market::ConstraintKind::kLoad, inst.oopt);
+                const TimedOracle timed(oracle);
                 const auto t0 = std::chrono::steady_clock::now();
-                result = market::run_auction(inst.pool, oracle, opt);
+                result = market::run_auction(inst.pool, timed, opt);
                 const auto t1 = std::chrono::steady_clock::now();
                 const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-                if (rep == 0 || ms < best_ms) best_ms = ms;
+                if (rep == 0 || ms < best_ms) {
+                    best_ms = ms;
+                    const auto queries = static_cast<double>(timed.query_count());
+                    best_us_per_query = queries > 0.0 ? timed.busy_us() / queries : 0.0;
+                }
             }
             if (!result) {
                 std::cerr << inst.label << "/" << mode.name << ": infeasible instance\n";
@@ -201,6 +267,7 @@ int main(int argc, char** argv) {
             row.ms = best_ms;
             row.speedup_vs_serial = best_ms > 0.0 ? serial_ms / best_ms : 1.0;
             row.oracle_queries = result->oracle_queries;
+            row.oracle_us_per_query = best_us_per_query;
             row.oracle_cache_hits = result->oracle_cache_hits;
             row.solve_cache_hits = result->solve_cache_hits;
             rows.push_back(row);
@@ -208,6 +275,7 @@ int main(int argc, char** argv) {
             std::cout << inst.label << "  links=" << row.offered_links << "  " << mode.name
                       << "  " << best_ms << " ms  x" << row.speedup_vs_serial
                       << "  queries=" << row.oracle_queries
+                      << "  us/query=" << row.oracle_us_per_query
                       << "  verdict_hits=" << row.oracle_cache_hits
                       << "  solve_hits=" << row.solve_cache_hits << "\n";
         }
@@ -220,8 +288,9 @@ int main(int argc, char** argv) {
         << "  \"parallel_threads\": " << par << ",\n"
         << "  \"reps\": " << kReps << ",\n"
         << "  \"all_modes_identical_to_serial\": " << (all_identical ? "true" : "false") << ",\n"
-        << "  \"note\": \"ms is best of reps; speedup_vs_serial needs hardware_threads > 1 "
-           "to exceed 1.0 on parallel rows\",\n"
+        << "  \"note\": \"ms is best of reps (one rep for the paper-scale instance); "
+           "oracle_us_per_query is oracle busy time over all threads per query; "
+           "speedup_vs_serial needs hardware_threads > 1 to exceed 1.0 on parallel rows\",\n"
         << "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
@@ -230,6 +299,7 @@ int main(int argc, char** argv) {
             << "\", \"threads\": " << r.threads << ", \"cache\": " << (r.cache ? "true" : "false")
             << ", \"ms\": " << r.ms << ", \"speedup_vs_serial\": " << r.speedup_vs_serial
             << ", \"oracle_queries\": " << r.oracle_queries
+            << ", \"oracle_us_per_query\": " << r.oracle_us_per_query
             << ", \"oracle_cache_hits\": " << r.oracle_cache_hits
             << ", \"solve_cache_hits\": " << r.solve_cache_hits << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";

@@ -161,6 +161,19 @@ std::vector<LinkId> Subgraph::active_links() const {
     return out;
 }
 
+ActiveAdjacency::ActiveAdjacency(const Subgraph& sg) {
+    const Graph& g = sg.graph();
+    offsets_.reserve(g.node_count() + 1);
+    links_.reserve(2 * sg.active_count());
+    offsets_.push_back(0);
+    for (std::size_t v = 0; v < g.node_count(); ++v) {
+        for (const LinkId lid : g.incident(NodeId{v})) {
+            if (sg.is_active(lid)) links_.push_back(lid);
+        }
+        offsets_.push_back(static_cast<std::uint32_t>(links_.size()));
+    }
+}
+
 double total_demand(const TrafficMatrix& tm) {
     double s = 0.0;
     for (const Demand& d : tm) s += d.gbps;

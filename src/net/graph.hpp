@@ -226,6 +226,28 @@ private:
     std::uint64_t fingerprint_ = 0;
 };
 
+/// Compact CSR adjacency of one Subgraph's active links: each node's
+/// list is Graph::incident() with the inactive links dropped, in the
+/// same order. A Dijkstra over a view that only shrinks from this
+/// Subgraph can scan these lists instead of the whole graph's and
+/// still relax (and tie-break) in exactly the same order. Built per
+/// query, in O(nodes + links); never stored in a Graph.
+class ActiveAdjacency {
+public:
+    explicit ActiveAdjacency(const Subgraph& sg);
+
+    std::span<const LinkId> incident(NodeId node) const {
+        POC_EXPECTS(node.index() + 1 < offsets_.size());
+        const auto lo = offsets_[node.index()];
+        const auto hi = offsets_[node.index() + 1];
+        return {links_.data() + lo, links_.data() + hi};
+    }
+
+private:
+    std::vector<std::uint32_t> offsets_;
+    std::vector<LinkId> links_;
+};
+
 /// A directional traffic demand between two routers.
 struct Demand {
     NodeId src;

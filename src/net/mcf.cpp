@@ -41,7 +41,19 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
         residual[lid.index()] = g.link(lid).capacity_gbps * opt.utilization_cap;
     }
 
-    const LinkWeight base_weight = weight_by_length(g);
+    // Congestion-aware metric: length scaled up as residual capacity
+    // shrinks, so we prefer uncongested routes. Kept as a flat array;
+    // only the links a demand was placed on change, so only they are
+    // recomputed (same expression, so the same doubles).
+    const auto congestion = [&](LinkId lid) {
+        const double cap = g.link(lid).capacity_gbps * opt.utilization_cap;
+        const double used = cap - residual[lid.index()];
+        const double frac = cap > 0.0 ? used / cap : 1.0;
+        return (g.link(lid).length_km + 1.0) * (1.0 + 4.0 * frac * frac);
+    };
+    std::vector<double> weight(g.link_count(), 0.0);
+    for (const LinkId lid : sg.active_links()) weight[lid.index()] = congestion(lid);
+
     CommodityRouting routing;
     routing.routes.resize(tm.size());
 
@@ -49,34 +61,32 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
     // maintained incrementally across demands instead of being rebuilt
     // from scratch per demand: residual only ever decreases, so the
     // exhausted set grows monotonically and a link deactivated here
-    // stays deactivated. This is exactly the set the per-demand rebuild
-    // would produce, just without the O(L) sweep. Per-demand exclusions
-    // are toggled off around the search and restored via an undo list
-    // (an excluded link's residual cannot change while it is excluded,
-    // so restoring to active is always correct).
+    // stays deactivated. Per-demand exclusions are toggled off around
+    // the search and restored via an undo list (an excluded link's
+    // residual cannot change while it is excluded, so restoring to
+    // active is always correct).
+    //
+    // Within one demand the view and the weights stay frozen: links
+    // exhausted by its paths are deactivated, and their weights
+    // refreshed, only after it is placed. So the lazily drawn Yen
+    // sequence is the one an eager k-path list computed at the demand's
+    // start would hold, and the routing is identical to placing onto
+    // that list. Every view is a shrunk `sg`, so one ActiveAdjacency of
+    // `sg` serves every search of the call.
     Subgraph usable = sg;
     for (const LinkId lid : sg.active_links()) {
         if (residual[lid.index()] <= kEps) usable.set_active(lid, false);
     }
-    std::vector<LinkId> excluded_undo;
+    const ActiveAdjacency adj(sg);
     SsspWorkspace ws;
+    YenEnumerator yen(usable, adj, weight, ws);
+    std::vector<LinkId> excluded_undo;
+    std::vector<LinkId> placed;  // links of the demand's placed paths
 
     for (const std::size_t di : order) {
         const Demand& d = tm[di];
         if (d.gbps <= kEps) continue;
         POC_EXPECTS(d.src != d.dst);
-
-        // Candidate paths under a congestion-aware metric: base weight
-        // (length, or caller-supplied, e.g. lease price) scaled up as
-        // residual capacity shrinks, so we prefer uncongested routes.
-        const LinkWeight congestion_weight = [&](LinkId lid) {
-            const double cap = g.link(lid).capacity_gbps * opt.utilization_cap;
-            const double used = cap - residual[lid.index()];
-            const double frac = cap > 0.0 ? used / cap : 1.0;
-            const double base = opt.base_weight != nullptr ? (*opt.base_weight)[lid.index()]
-                                                           : g.link(lid).length_km;
-            return (base + 1.0) * (1.0 + 4.0 * frac * frac);
-        };
 
         excluded_undo.clear();
         if (opt.exclusions != nullptr) {
@@ -88,26 +98,28 @@ std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const Tr
             }
         }
 
-        auto candidates =
-            yen_k_shortest(usable, d.src, d.dst, congestion_weight, opt.k_paths, ws);
+        yen.start(d.src, d.dst);
+        placed.clear();
         double remaining = d.gbps;
-        bool fits = true;
-        for (const WeightedPath& wp : candidates) {
-            if (remaining <= kEps) break;
+        for (std::size_t p = 0; p < opt.k_paths && remaining > kEps; ++p) {
+            const WeightedPath* wp = yen.next();
+            if (wp == nullptr) break;
             double bottleneck = remaining;
-            for (const LinkId l : wp.links) {
+            for (const LinkId l : wp->links) {
                 bottleneck = std::min(bottleneck, residual[l.index()]);
             }
             if (bottleneck <= kEps) continue;
-            for (const LinkId l : wp.links) {
-                residual[l.index()] -= bottleneck;
-                if (residual[l.index()] <= kEps) usable.set_active(l, false);
-            }
-            routing.routes[di].emplace_back(wp.links, bottleneck);
+            for (const LinkId l : wp->links) residual[l.index()] -= bottleneck;
+            placed.insert(placed.end(), wp->links.begin(), wp->links.end());
+            routing.routes[di].emplace_back(wp->links, bottleneck);
             remaining -= bottleneck;
         }
-        if (remaining > 1e-9 * std::max(1.0, d.gbps)) fits = false;
+        const bool fits = !(remaining > 1e-9 * std::max(1.0, d.gbps));
 
+        for (const LinkId l : placed) {
+            if (residual[l.index()] <= kEps) usable.set_active(l, false);
+            weight[l.index()] = congestion(l);
+        }
         for (const LinkId lid : excluded_undo) usable.set_active(lid, true);
         if (!fits) return std::nullopt;
     }
@@ -141,8 +153,6 @@ ConcurrentFlowResult max_concurrent_flow(const Subgraph& sg, const TrafficMatrix
         for (const LinkId lid : active) s += length[lid.index()] * g.link(lid).capacity_gbps;
         return s;
     };
-
-    const LinkWeight len_weight = [&](LinkId lid) { return length[lid.index()]; };
 
     std::vector<double> routed(tm.size(), 0.0);  // unscaled flow per commodity
 
@@ -182,6 +192,9 @@ ConcurrentFlowResult max_concurrent_flow(const Subgraph& sg, const TrafficMatrix
         }
     }
 
+    // Every view is `sg` or a shrunk copy, so `sg`'s active lists serve
+    // the length-metric searches of all of them.
+    const ActiveAdjacency adj(sg);
     double current_dual = dual();
     while (current_dual < 1.0) {
         for (std::size_t j = 0; j < tm.size(); ++j) {
@@ -189,7 +202,7 @@ ConcurrentFlowResult max_concurrent_flow(const Subgraph& sg, const TrafficMatrix
             if (d.gbps <= kEps) continue;
             double to_route = d.gbps;
             while (to_route > kEps && current_dual < 1.0) {
-                auto sp = shortest_path(view_of(j), d.src, d.dst, len_weight, ws);
+                auto sp = shortest_path(view_of(j), adj, d.src, d.dst, length, ws);
                 POC_ASSERT(sp.has_value());
                 double bottleneck = to_route;
                 for (const LinkId l : sp->links) {

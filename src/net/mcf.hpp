@@ -45,14 +45,13 @@ struct GreedyRoutingOptions {
     double utilization_cap = 1.0;
     /// Optional per-commodity forbidden links (size == tm.size()).
     const CommodityExclusions* exclusions = nullptr;
-    /// Optional base routing weight per link (indexed by link id);
-    /// defaults to geographic length. Winner determination passes lease
-    /// prices here so routing concentrates on cheap links.
-    const std::vector<double>* base_weight = nullptr;
 };
 
 /// Water-filling over Yen candidate paths, demands placed largest-first.
 /// Returns the routing if every demand fits entirely, nullopt otherwise.
+/// Each demand draws its paths lazily, one Yen path at a time, over a
+/// view and congestion weights frozen at the demand's start, so the
+/// routing equals the one from placing onto an eager k-path list.
 std::optional<CommodityRouting> greedy_path_routing(const Subgraph& sg, const TrafficMatrix& tm,
                                                     const GreedyRoutingOptions& opt = {});
 

@@ -54,6 +54,13 @@ struct UnitWeight {
     double operator()(LinkId) const { return 1.0; }
 };
 
+/// A caller's flat per-link weight array (the greedy router's
+/// congestion metric, the FPTAS length function), read directly.
+struct ArrayWeight {
+    std::span<const double> w;
+    double operator()(LinkId id) const { return w[id.index()]; }
+};
+
 }  // namespace
 
 void SsspWorkspace::prepare(std::size_t node_count) {
@@ -147,8 +154,14 @@ namespace detail {
 // sequence regardless of arity or internal layout. Identical pop order
 // means identical relaxation order, and the arithmetic (nd = d + w) is
 // unchanged, so dist/parent/pred match the seed bit for bit.
-template <class Weight>
-void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws) {
+//
+// `adj` supplies each node's incident links: the Graph's own CSR, or an
+// ActiveAdjacency — the same lists with links already inactive dropped.
+// Both yield a node's active links in the same order, so the two scans
+// relax identically.
+template <class Adjacency, class Weight>
+void run_dijkstra(const Subgraph& sg, const Adjacency& adj, NodeId source, Weight&& weight,
+                  SsspWorkspace& ws) {
     const Graph& g = sg.graph();
     POC_EXPECTS(source.index() < g.node_count());
     POC_OBS_INC("net.sssp.runs");
@@ -170,7 +183,7 @@ void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorksp
         const auto [d, u_raw] = ws.heap_pop();
         const NodeId u{u_raw};
         if (d > ws.dist_[u.index()]) continue;  // stale entry (u is always stamped)
-        for (const LinkId lid : g.incident(u)) {
+        for (const LinkId lid : adj.incident(u)) {
             if (!sg.is_active(lid)) continue;
             const double w = weight(lid);
             POC_EXPECTS(w >= 0.0);
@@ -188,30 +201,28 @@ void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorksp
     }
 }
 
-template void run_dijkstra<const LinkWeight&>(const Subgraph&, NodeId, const LinkWeight&,
-                                              SsspWorkspace&);
-
 }  // namespace detail
 
 ShortestPathTree dijkstra(const Subgraph& sg, NodeId source, const LinkWeight& weight) {
     SsspWorkspace ws;
-    detail::run_dijkstra(sg, source, weight, ws);
+    detail::run_dijkstra(sg, sg.graph(), source, weight, ws);
     return ws.to_tree();
 }
 
 void dijkstra_into(const Subgraph& sg, NodeId source, const LinkWeight& weight,
                    SsspWorkspace& ws) {
-    detail::run_dijkstra(sg, source, weight, ws);
+    detail::run_dijkstra(sg, sg.graph(), source, weight, ws);
 }
 
 void dijkstra_metric_into(const Subgraph& sg, NodeId source, SsspMetric metric,
                           SsspWorkspace& ws) {
     switch (metric) {
         case SsspMetric::kLength:
-            detail::run_dijkstra(sg, source, LengthWeight{sg.graph().link_soa()}, ws);
+            detail::run_dijkstra(sg, sg.graph(), source, LengthWeight{sg.graph().link_soa()},
+                                 ws);
             break;
         case SsspMetric::kUnit:
-            detail::run_dijkstra(sg, source, UnitWeight{}, ws);
+            detail::run_dijkstra(sg, sg.graph(), source, UnitWeight{}, ws);
             break;
     }
 }
@@ -254,6 +265,19 @@ std::optional<ShortestPathTree> bellman_ford(const Subgraph& sg, NodeId source,
     return tree;
 }
 
+namespace {
+
+/// The src->dst path of the workspace's last run, or nullopt.
+std::optional<WeightedPath> path_from(const SsspWorkspace& ws, NodeId dst) {
+    if (!ws.reachable(dst)) return std::nullopt;
+    WeightedPath wp;
+    ws.append_path_to(dst, wp.links);
+    wp.weight = ws.dist(dst);
+    return wp;
+}
+
+}  // namespace
+
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
                                           const LinkWeight& weight) {
     SsspWorkspace ws;
@@ -262,12 +286,16 @@ std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId
 
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
                                           const LinkWeight& weight, SsspWorkspace& ws) {
-    detail::run_dijkstra(sg, src, weight, ws);
-    if (!ws.reachable(dst)) return std::nullopt;
-    WeightedPath wp;
-    ws.append_path_to(dst, wp.links);
-    wp.weight = ws.dist(dst);
-    return wp;
+    detail::run_dijkstra(sg, sg.graph(), src, weight, ws);
+    return path_from(ws, dst);
+}
+
+std::optional<WeightedPath> shortest_path(const Subgraph& sg, const ActiveAdjacency& adj,
+                                          NodeId src, NodeId dst,
+                                          std::span<const double> weight, SsspWorkspace& ws) {
+    POC_EXPECTS(weight.size() == sg.graph().link_count());
+    detail::run_dijkstra(sg, adj, src, ArrayWeight{weight}, ws);
+    return path_from(ws, dst);
 }
 
 std::vector<NodeId> path_nodes(const Graph& g, NodeId src, const std::vector<LinkId>& links) {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -53,8 +54,9 @@ enum class SsspMetric : std::uint8_t { kLength = 0, kUnit = 1 };
 class SsspWorkspace;
 
 namespace detail {
-template <class Weight>
-void run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight, SsspWorkspace& ws);
+template <class Adjacency, class Weight>
+void run_dijkstra(const Subgraph& sg, const Adjacency& adj, NodeId source, Weight&& weight,
+                  SsspWorkspace& ws);
 }
 
 /// Reusable single-source shortest-path scratch: flat dist/parent/pred
@@ -111,9 +113,9 @@ public:
     ShortestPathTree to_tree() const;
 
 private:
-    template <class Weight>
-    friend void detail::run_dijkstra(const Subgraph& sg, NodeId source, Weight&& weight,
-                                     SsspWorkspace& ws);
+    template <class Adjacency, class Weight>
+    friend void detail::run_dijkstra(const Subgraph& sg, const Adjacency& adj, NodeId source,
+                                     Weight&& weight, SsspWorkspace& ws);
 
     struct HeapItem {
         double dist;
@@ -176,6 +178,16 @@ std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId
 /// per-call tree allocation (the returned path still allocates).
 std::optional<WeightedPath> shortest_path(const Subgraph& sg, NodeId src, NodeId dst,
                                           const LinkWeight& weight, SsspWorkspace& ws);
+
+/// shortest_path with the weight read from a flat per-link array
+/// (`weight[l]` is link l's cost) and the scan limited to `adj`, the
+/// ActiveAdjacency of `sg` or of any view `sg` has only shrunk from.
+/// Those lists hold every active link of `sg` in Graph::incident()
+/// order, so the result is bit-identical to the LinkWeight form with
+/// the same weights; only the skipped inactive links go unscanned.
+std::optional<WeightedPath> shortest_path(const Subgraph& sg, const ActiveAdjacency& adj,
+                                          NodeId src, NodeId dst,
+                                          std::span<const double> weight, SsspWorkspace& ws);
 
 /// The node sequence visited by a path starting at `src`. Requires the
 /// links to form a connected walk from src.

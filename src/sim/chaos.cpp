@@ -299,7 +299,7 @@ ChaosOutcome run_chaos(const market::OfferPool& base_pool, const net::TrafficMat
         core::ProvisionedBackbone backbone;
         util::Money outlay;
         bool degraded_mode = false;
-    } st{.backbone = std::move(*initial)};
+    } st{.graphs = {}, .pools = {}, .backbone = std::move(*initial), .outlay = {}};
     st.outlay = st.backbone.monthly_outlay();
 
     // Per-link fault state at an epoch: hard-down mask plus surviving-

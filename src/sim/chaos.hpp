@@ -110,9 +110,9 @@ struct Fault {
     /// Epochs until repair; the fault is active on epochs
     /// [start_epoch, start_epoch + repair_epochs).
     std::size_t repair_epochs = 1;
-    std::vector<net::LinkId> links;
+    std::vector<net::LinkId> links{};
     double capacity_factor = 0.0;
-    std::string description;
+    std::string description{};
     /// For kCrash only: the pipeline stage index (sim::Stage) the
     /// process dies in; ignored by every other kind.
     std::uint32_t crash_stage = 0;

@@ -35,9 +35,18 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
+// What the reference saw while placing, so a sweep can show that it
+// reached the branches under test.
+struct ReferenceStats {
+    int split_demands = 0;            // demands placed on 2..k paths
+    int zero_bottleneck_skips = 0;    // candidates skipped: an earlier path exhausted them
+    std::size_t most_paths = 0;       // largest split seen
+};
+
 std::optional<net::CommodityRouting> reference_greedy(const net::Subgraph& sg,
                                                       const net::TrafficMatrix& tm,
-                                                      const net::GreedyRoutingOptions& opt) {
+                                                      const net::GreedyRoutingOptions& opt,
+                                                      ReferenceStats* stats = nullptr) {
     const net::Graph& g = sg.graph();
 
     std::vector<std::size_t> order(tm.size());
@@ -61,9 +70,7 @@ std::optional<net::CommodityRouting> reference_greedy(const net::Subgraph& sg,
             const double cap = g.link(lid).capacity_gbps * opt.utilization_cap;
             const double used = cap - residual[lid.index()];
             const double frac = cap > 0.0 ? used / cap : 1.0;
-            const double base = opt.base_weight != nullptr ? (*opt.base_weight)[lid.index()]
-                                                           : g.link(lid).length_km;
-            return (base + 1.0) * (1.0 + 4.0 * frac * frac);
+            return (g.link(lid).length_km + 1.0) * (1.0 + 4.0 * frac * frac);
         };
 
         // Per-demand from-scratch rebuild of the usable view.
@@ -84,10 +91,17 @@ std::optional<net::CommodityRouting> reference_greedy(const net::Subgraph& sg,
             for (const LinkId l : wp.links) {
                 bottleneck = std::min(bottleneck, residual[l.index()]);
             }
-            if (bottleneck <= kEps) continue;
+            if (bottleneck <= kEps) {
+                if (stats != nullptr) ++stats->zero_bottleneck_skips;
+                continue;
+            }
             for (const LinkId l : wp.links) residual[l.index()] -= bottleneck;
             routing.routes[di].emplace_back(wp.links, bottleneck);
             remaining -= bottleneck;
+        }
+        if (stats != nullptr) {
+            if (routing.routes[di].size() >= 2) ++stats->split_demands;
+            stats->most_paths = std::max(stats->most_paths, routing.routes[di].size());
         }
         if (remaining > 1e-9 * std::max(1.0, d.gbps)) return std::nullopt;
     }
@@ -207,9 +221,10 @@ struct Instance {
     net::CommodityExclusions exclusions;
 };
 
-void make_random_instance(util::Rng& rng, std::size_t n, std::size_t demands,
-                          double demand_scale, Instance& inst) {
-    inst.g = test::random_connected(rng, n, n / 2 + 1);
+/// Mask ~10% of inst.g's links off and draw the demands and their
+/// exclusions.
+void fill_instance(util::Rng& rng, std::size_t n, std::size_t demands, double demand_scale,
+                   Instance& inst) {
     inst.sg.emplace(inst.g);
     for (const LinkId l : inst.g.all_links()) {
         if (rng.uniform(0.0, 1.0) < 0.1) inst.sg->set_active(l, false);
@@ -228,6 +243,40 @@ void make_random_instance(util::Rng& rng, std::size_t n, std::size_t demands,
                 rng.uniform_int(std::uint64_t{links.size()}))]);
         }
     }
+}
+
+void make_random_instance(util::Rng& rng, std::size_t n, std::size_t demands,
+                          double demand_scale, Instance& inst) {
+    inst.g = test::random_connected(rng, n, n / 2 + 1);
+    fill_instance(rng, n, demands, demand_scale, inst);
+}
+
+// A dense multigraph shaped like the Fig. 2 offer pool: every linked
+// router pair carries 2-4 parallel links (3 on average), often of equal
+// length, so Yen's later paths swap one parallel link for another and
+// share the rest — which is what makes a demand split over several
+// paths and hit candidates an earlier path already exhausted.
+void make_dense_instance(util::Rng& rng, std::size_t n, std::size_t demands,
+                         double demand_scale, Instance& inst) {
+    net::GraphBuilder gb;
+    gb.add_nodes(n);
+    auto add_bundle = [&](std::size_t a, std::size_t b) {
+        const double len = rng.uniform(1.0, 10.0);
+        const auto count = 2 + rng.uniform_int(3);
+        for (std::uint64_t p = 0; p < count; ++p) {
+            const double l = rng.uniform(0.0, 1.0) < 0.5 ? len : rng.uniform(1.0, 10.0);
+            gb.add_link(NodeId{a}, NodeId{b}, rng.uniform(1.0, 10.0), l);
+        }
+    };
+    for (std::size_t i = 0; i + 1 < n; ++i) add_bundle(i, i + 1);
+    for (std::size_t e = 0; e < n; ++e) {
+        const auto a = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+        const auto b =
+            (a + 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n - 1}))) % n;
+        add_bundle(a, b);
+    }
+    inst.g = std::move(gb).build();
+    fill_instance(rng, n, demands, demand_scale, inst);
 }
 
 TEST(FastPathIdentity, GreedyMatchesPerDemandRebuild) {
@@ -259,6 +308,38 @@ TEST(FastPathIdentity, GreedyMatchesPerDemandRebuild) {
     // The sweep must actually exercise both outcomes.
     EXPECT_GT(feasible, 0);
     EXPECT_GT(infeasible, 0);
+
+    // Dense multigraphs: demands a single path's bottleneck cannot
+    // carry, so most demands split and later candidates hit links an
+    // earlier path of the same demand exhausted.
+    ReferenceStats stats;
+    int dense_feasible = 0;
+    int dense_infeasible = 0;
+    for (int round = 0; round < 12; ++round) {
+        const double scale = round % 2 == 0 ? 2.5 : 15.0;
+        Instance inst;
+        make_dense_instance(rng, 6 + static_cast<std::size_t>(round) / 2, 20, scale, inst);
+        const net::CommodityExclusions* variants[] = {nullptr, &inst.exclusions};
+        for (const net::CommodityExclusions* ex : variants) {
+            net::GreedyRoutingOptions opt;
+            opt.exclusions = ex;
+            opt.utilization_cap = round % 3 == 0 ? 0.8 : 1.0;
+            const auto expected = reference_greedy(*inst.sg, inst.tm, opt, &stats);
+            const auto got = net::greedy_path_routing(*inst.sg, inst.tm, opt);
+            ASSERT_EQ(expected.has_value(), got.has_value());
+            if (expected) {
+                expect_routing_identical(*expected, *got);
+                ++dense_feasible;
+            } else {
+                ++dense_infeasible;
+            }
+        }
+    }
+    EXPECT_GT(dense_feasible, 0);
+    EXPECT_GT(dense_infeasible, 0);
+    EXPECT_GT(stats.split_demands, 0);
+    EXPECT_GT(stats.zero_bottleneck_skips, 0);
+    EXPECT_EQ(stats.most_paths, 4u);
 }
 
 TEST(FastPathIdentity, ConcurrentFlowMatchesPerDemandScreening) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "helpers/graphs.hpp"
@@ -105,6 +106,115 @@ TEST(Yen, ParallelLinksCountAsDistinctPaths) {
     ASSERT_EQ(paths.size(), 2u);
     EXPECT_DOUBLE_EQ(paths[0].weight, 1.0);
     EXPECT_DOUBLE_EQ(paths[1].weight, 2.0);
+}
+
+/// Weights of every loopless src->dst path over the active links, by
+/// depth-first search, ascending.
+std::vector<double> all_loopless_weights(const Subgraph& sg, const LinkWeight& w, NodeId src,
+                                         NodeId dst) {
+    const Graph& g = sg.graph();
+    std::vector<double> out;
+    std::vector<char> on_path(g.node_count(), 0);
+    const auto dfs = [&](const auto& self, NodeId u, double weight) -> void {
+        if (u == dst) {
+            out.push_back(weight);
+            return;
+        }
+        on_path[u.index()] = 1;
+        for (const LinkId l : g.incident(u)) {
+            const NodeId v = g.link(l).other(u);
+            if (sg.is_active(l) && on_path[v.index()] == 0) self(self, v, weight + w(l));
+        }
+        on_path[u.index()] = 0;
+    };
+    dfs(dfs, src, 0.0);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/// Draw up to k paths from a YenEnumerator over `sg` with weight `w`,
+/// checking after each draw that the paths so far equal
+/// yen_k_shortest(..., i), and that their weights are the smallest of
+/// all loopless paths (integer lengths, so sums are exact). Returns how
+/// many paths were drawn.
+std::size_t expect_enumerator_prefixes(const Subgraph& sg, YenEnumerator& yen,
+                                       const LinkWeight& w, NodeId src, NodeId dst,
+                                       std::size_t k) {
+    yen.start(src, dst);
+    std::vector<WeightedPath> drawn;
+    for (std::size_t i = 1; i <= k; ++i) {
+        const WeightedPath* p = yen.next();
+        if (p != nullptr) drawn.push_back(*p);
+        const auto expected = yen_k_shortest(sg, src, dst, w, i);
+        EXPECT_EQ(expected.size(), drawn.size()) << "i=" << i;
+        for (std::size_t j = 0; j < std::min(expected.size(), drawn.size()); ++j) {
+            EXPECT_EQ(expected[j].links, drawn[j].links) << "i=" << i << " path " << j;
+            EXPECT_EQ(expected[j].weight, drawn[j].weight) << "i=" << i << " path " << j;
+        }
+    }
+    if (drawn.size() < k) {
+        EXPECT_EQ(yen.next(), nullptr);  // an exhausted sequence stays exhausted
+    }
+    const std::vector<double> brute = all_loopless_weights(sg, w, src, dst);
+    EXPECT_EQ(std::min(brute.size(), k), drawn.size());
+    for (std::size_t j = 0; j < std::min(brute.size(), drawn.size()); ++j) {
+        EXPECT_EQ(brute[j], drawn[j].weight) << "path " << j;
+    }
+    return drawn.size();
+}
+
+TEST(YenEnumerator, PrefixesMatchYenKShortest) {
+    // A multigraph with equal-length parallel links (ties broken on
+    // link id) and a partly masked view, enumerated pair after pair by
+    // one enumerator; the view must come back unchanged.
+    util::Rng rng(31);
+    GraphBuilder gb;
+    gb.add_nodes(9);
+    for (std::size_t e = 0; e < 18; ++e) {
+        const auto a = static_cast<std::size_t>(rng.uniform_int(9));
+        const auto b = (a + 1 + static_cast<std::size_t>(rng.uniform_int(8))) % 9;
+        const double len = static_cast<double>(1 + rng.uniform_int(3));
+        gb.add_link(NodeId{a}, NodeId{b}, 10.0, len);
+        if (rng.uniform(0.0, 1.0) < 0.6) gb.add_link(NodeId{a}, NodeId{b}, 10.0, len);
+    }
+    const Graph g = std::move(gb).build();
+    Subgraph sg(g);
+    for (const LinkId l : g.all_links()) {
+        if (rng.uniform(0.0, 1.0) < 0.15) sg.set_active(l, false);
+    }
+    const LinkWeight w = weight_by_length(g);
+    std::vector<double> flat(g.link_count(), 0.0);
+    for (const LinkId l : sg.active_links()) flat[l.index()] = w(l);
+    Subgraph view = sg;
+    const ActiveAdjacency adj(sg);
+    SsspWorkspace ws;
+    YenEnumerator yen(view, adj, flat, ws);
+    std::size_t full = 0;
+    for (std::size_t s = 0; s < 3; ++s) {
+        for (std::size_t t = s + 1; t < g.node_count(); ++t) {
+            if (expect_enumerator_prefixes(sg, yen, w, NodeId{s}, NodeId{t}, 6) == 6) ++full;
+            EXPECT_EQ(view.fingerprint(), sg.fingerprint());
+            EXPECT_EQ(view.active_count(), sg.active_count());
+        }
+    }
+    EXPECT_GT(full, 0u);
+}
+
+TEST(YenEnumerator, StopsWhenFewerThanKPathsExist) {
+    Graph g = diamond();
+    Subgraph sg(g);
+    const LinkWeight w = weight_by_length(g);
+    std::vector<double> flat(g.link_count());
+    for (std::size_t l = 0; l < flat.size(); ++l) flat[l] = w(LinkId{l});
+    Subgraph view = sg;
+    const ActiveAdjacency adj(sg);
+    SsspWorkspace ws;
+    YenEnumerator yen(view, adj, flat, ws);
+    // Only 3 loopless 0->3 paths exist; later draws stay exhausted.
+    EXPECT_EQ(expect_enumerator_prefixes(sg, yen, w, NodeId{0u}, NodeId{3u}, 6), 3u);
+    EXPECT_EQ(yen.next(), nullptr);
+    // A restart forgets the exhausted sequence.
+    EXPECT_EQ(expect_enumerator_prefixes(sg, yen, w, NodeId{3u}, NodeId{0u}, 2), 2u);
 }
 
 TEST(Yen, RejectsBadArguments) {

@@ -174,6 +174,72 @@ TEST(SsspWorkspace, WorkspaceShortestPathMatchesConvenienceOverload) {
     }
 }
 
+TEST(ActiveAdjacency, ListsAreIncidentFilteredInOrder) {
+    util::Rng rng(23);
+    const net::Graph g = test::random_connected(rng, 30, 40);
+    net::Subgraph sg(g);
+    for (const LinkId l : g.all_links()) {
+        if (rng.uniform(0.0, 1.0) < 0.5) sg.set_active(l, false);
+    }
+    const net::ActiveAdjacency adj(sg);
+    for (std::size_t v = 0; v < g.node_count(); ++v) {
+        std::vector<LinkId> expected;
+        for (const LinkId l : g.incident(NodeId{v})) {
+            if (sg.is_active(l)) expected.push_back(l);
+        }
+        const auto got = adj.incident(NodeId{v});
+        EXPECT_EQ(expected, std::vector<LinkId>(got.begin(), got.end())) << "node " << v;
+    }
+}
+
+TEST(ActiveAdjacency, ArrayWeightScanMatchesReferenceOnShrunkViews) {
+    // Parallel links with equal lengths force tie-breaks on link id;
+    // the compact scan must settle them as the full-CSR scan does,
+    // also on views shrunk further after the adjacency was built.
+    util::Rng rng(29);
+    for (int round = 0; round < 10; ++round) {
+        const std::size_t n = 6 + static_cast<std::size_t>(rng.uniform_int(20));
+        net::GraphBuilder gb;
+        gb.add_nodes(n);
+        for (std::size_t e = 0; e < 3 * n; ++e) {
+            const auto a = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{n}));
+            const auto b = (a + 1 + static_cast<std::size_t>(rng.uniform_int(n - 1))) % n;
+            const double len = static_cast<double>(1 + rng.uniform_int(4));
+            for (std::uint64_t p = 0; p < 1 + rng.uniform_int(3); ++p) {
+                gb.add_link(NodeId{a}, NodeId{b}, 10.0, len);
+            }
+        }
+        const net::Graph g = std::move(gb).build();
+        net::Subgraph sg(g);
+        for (const LinkId l : g.all_links()) {
+            if (rng.uniform(0.0, 1.0) < 0.3) sg.set_active(l, false);
+        }
+        const net::ActiveAdjacency adj(sg);
+        net::Subgraph shrunk = sg;
+        for (const LinkId l : g.all_links()) {
+            if (rng.uniform(0.0, 1.0) < 0.2) shrunk.set_active(l, false);
+        }
+        std::vector<double> flat(g.link_count());
+        for (std::size_t l = 0; l < flat.size(); ++l) flat[l] = g.link(LinkId{l}).length_km;
+        const net::LinkWeight w = net::weight_by_length(g);
+        net::SsspWorkspace ws;
+        for (const net::Subgraph* view : {&sg, &shrunk}) {
+            for (std::size_t s = 0; s < n; ++s) {
+                const auto ref = reference_dijkstra(*view, NodeId{s}, w);
+                for (std::size_t t = 0; t < n; ++t) {
+                    if (s == t) continue;
+                    const auto got = net::shortest_path(*view, adj, NodeId{s}, NodeId{t}, flat, ws);
+                    ASSERT_EQ(ref.reachable(NodeId{t}), got.has_value());
+                    if (got) {
+                        EXPECT_EQ(ref.path_to(NodeId{t}), got->links);
+                        EXPECT_EQ(ref.dist[t], got->weight);
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(SsspWorkspace, SteadyStateRunsAreAllocationFree) {
     util::Rng rng(19);
     const net::Graph g = test::random_connected(rng, 60, 40);
